@@ -75,7 +75,7 @@ hostMetaJson(unsigned parallelism = 1)
 
 /**
  * Dispatch mode used for detector runs, from PMDB_DISPATCH
- * ("perevent" | "batched" | "async"). Batched is the default: it is
+ * ("perevent" | "batched"). Batched is the default: it is
  * the production configuration of the pipeline and results are
  * bit-identical to per-event dispatch (tests/test_dispatch.cc).
  */
@@ -87,8 +87,6 @@ benchDispatchMode()
             const std::string v(env);
             if (v == "perevent" || v == "per-event")
                 return DispatchMode::PerEvent;
-            if (v == "async")
-                return DispatchMode::Async;
             if (v != "batched")
                 fatal("PMDB_DISPATCH: unknown mode " + v);
         }
@@ -151,8 +149,6 @@ runWorkload(const std::string &workload_name,
 
     Stopwatch watch;
     workload->run(runtime, options);
-    // Async runs are only done once every published batch has been
-    // consumed; the drain barrier is part of the measured time.
     runtime.drain();
     BenchRun run;
     run.seconds = watch.elapsedSeconds();

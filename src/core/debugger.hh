@@ -191,7 +191,7 @@ class PmDebugger : public TraceSink, public DebugContext
     bool strandsActive_ = false;
     bool finalized_ = false;
     SeqNum lastSeq_ = 0;
-    /** Event counter driving the 1-in-64 eval-timing sample. */
+    /** Event counter driving the 1-in-1024 eval-timing sample. */
     std::uint64_t telemetryTick_ = 0;
 };
 

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "common/json.hh"
 #include "core/bug.hh"
 #include "core/stats.hh"
 
@@ -21,9 +22,6 @@ std::string reportToJson(const BugCollector &bugs);
 /** Render a bug collection plus bookkeeping statistics as JSON. */
 std::string reportToJson(const BugCollector &bugs,
                          const DebuggerStats &stats);
-
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &text);
 
 } // namespace pmdb
 

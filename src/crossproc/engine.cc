@@ -3,34 +3,17 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/json.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
 {
 
-namespace
-{
-
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 CrossGroupResult::toJson() const
 {
     std::ostringstream out;
-    out << "{\"pool\": \"" << escapeJson(pool) << "\", \"writers\": [";
+    out << "{\"pool\": \"" << jsonEscape(pool) << "\", \"writers\": [";
     for (std::size_t i = 0; i < writers.size(); ++i)
         out << (i ? ", " : "") << writers[i];
     out << "], \"events_replayed\": " << eventsReplayed
@@ -38,7 +21,7 @@ CrossGroupResult::toJson() const
     for (std::size_t i = 0; i < bugs.size(); ++i) {
         out << (i ? ", " : "") << "{\"rule\": \""
             << toString(bugs[i].type) << "\", \"detail\": \""
-            << escapeJson(bugs[i].toString()) << "\"}";
+            << jsonEscape(bugs[i].toString()) << "\"}";
     }
     out << "]}";
     return out.str();

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "pmdk/reader.hh"
 
 namespace pmdb
 {
@@ -37,6 +38,48 @@ std::size_t
 alignUp8(std::size_t v)
 {
     return (v + 7) & ~std::size_t(7);
+}
+
+/**
+ * The undo-log parse shared by rollbackImage() and recoverPool():
+ * validate the length word, then visit the entries in log order
+ * (header, old bytes, checksum, 8-byte alignment), appending each to
+ * @p out and handing the intact ones to @p restore. Returns false when
+ * there is no log to roll back (empty or corrupt length word).
+ */
+template <typename Reader, typename Restore>
+bool
+walkUndoLog(const Reader &reader, Addr log_base, std::size_t region_size,
+            std::vector<TxRecovery::RecoveredEntry> &out, Restore &&restore)
+{
+    if (log_base + logHeaderBytes > reader.size())
+        return false;
+    const auto log_bytes = loadAs<std::uint64_t>(reader, log_base);
+    if (log_bytes == 0 || log_bytes > region_size - logHeaderBytes)
+        return false;
+
+    const Addr limit =
+        std::min<Addr>(reader.size(), log_base + region_size);
+    std::vector<std::uint8_t> old_data;
+    std::size_t off = 0;
+    while (off + sizeof(TxLogEntryHeader) <= log_bytes) {
+        const Addr entry_addr = log_base + logHeaderBytes + off;
+        const auto header = loadAs<TxLogEntryHeader>(reader, entry_addr);
+        const Addr data_addr = entry_addr + sizeof(header);
+        if (header.size == 0 || data_addr > limit ||
+            header.size > limit - data_addr) {
+            break;
+        }
+        old_data.resize(header.size);
+        reader.read(data_addr, old_data.data(), header.size);
+        const bool ok =
+            entryChecksum(header, old_data.data()) == header.checksum;
+        if (ok)
+            restore(header, old_data.data());
+        out.push_back({header.objAddr, header.size, ok});
+        off += alignUp8(sizeof(header) + header.size);
+    }
+    return true;
 }
 
 } // namespace
@@ -251,41 +294,19 @@ TxRecovery::logRegionOf(const PmemPool &pool)
 std::vector<TxRecovery::RecoveredEntry>
 TxRecovery::recoverPool(PmemPool &pool)
 {
-    std::vector<RecoveredEntry> recovered;
-    const Addr log_base = pool.logRegion_;
-    const std::size_t region_size = pool.logRegionSize_;
-
-    std::uint64_t log_bytes = pool.load<std::uint64_t>(log_base);
-    if (log_bytes > region_size - logHeaderBytes)
-        log_bytes = 0; // corrupt length word: nothing to roll back
-    if (log_bytes == 0)
-        return recovered;
-
     // Restore intact entries in log order (rollbackImage semantics),
     // flushing each restored range; one fence drains them together.
-    std::size_t off = 0;
+    std::vector<RecoveredEntry> recovered;
     bool restored_any = false;
-    while (off + sizeof(TxLogEntryHeader) <= log_bytes) {
-        const Addr entry_addr = log_base + logHeaderBytes + off;
-        const auto header = pool.load<TxLogEntryHeader>(entry_addr);
-        if (header.size == 0 ||
-            entry_addr + sizeof(header) + header.size >
-                log_base + region_size) {
-            break;
-        }
-        std::vector<std::uint8_t> old_data(header.size);
-        pool.readBytes(entry_addr + sizeof(header), old_data.data(),
-                       header.size);
-        const bool ok =
-            entryChecksum(header, old_data.data()) == header.checksum;
-        if (ok) {
-            pool.writeBytes(header.objAddr, old_data.data(), header.size);
+    const bool has_log = walkUndoLog(
+        PoolReader{pool}, pool.logRegion_, pool.logRegionSize_, recovered,
+        [&](const TxLogEntryHeader &header, const std::uint8_t *old_data) {
+            pool.writeBytes(header.objAddr, old_data, header.size);
             pool.flush(header.objAddr, header.size);
             restored_any = true;
-        }
-        recovered.push_back({header.objAddr, header.size, ok});
-        off += alignUp8(sizeof(header) + header.size);
-    }
+        });
+    if (!has_log)
+        return recovered;
     if (restored_any)
         pool.fence();
 
@@ -293,8 +314,8 @@ TxRecovery::recoverPool(PmemPool &pool)
     // anywhere inside recovery leaves either a valid log or a fully
     // rolled-back image.
     const std::uint64_t zero = 0;
-    pool.writeBytes(log_base, &zero, sizeof(zero));
-    pool.persist(log_base, sizeof(zero));
+    pool.writeBytes(pool.logRegion_, &zero, sizeof(zero));
+    pool.persist(pool.logRegion_, sizeof(zero));
     return recovered;
 }
 
@@ -303,33 +324,12 @@ TxRecovery::rollbackImage(Addr log_base, std::size_t log_region_size,
                           std::vector<std::uint8_t> &image)
 {
     std::vector<RecoveredEntry> recovered;
-    if (log_base + logHeaderBytes > image.size())
-        return recovered;
-
-    std::uint64_t log_bytes = 0;
-    std::memcpy(&log_bytes, image.data() + log_base, sizeof(log_bytes));
-    if (log_bytes > log_region_size - logHeaderBytes)
-        return recovered; // corrupt length word: nothing to roll back
-
-    std::size_t off = 0;
-    while (off + sizeof(TxLogEntryHeader) <= log_bytes) {
-        const Addr entry_addr = log_base + logHeaderBytes + off;
-        TxLogEntryHeader header;
-        std::memcpy(&header, image.data() + entry_addr, sizeof(header));
-        if (header.size == 0 ||
-            entry_addr + sizeof(header) + header.size > image.size()) {
-            break;
-        }
-        const std::uint8_t *old_data =
-            image.data() + entry_addr + sizeof(header);
-        const bool ok = entryChecksum(header, old_data) == header.checksum;
-        if (ok) {
-            std::memcpy(image.data() + header.objAddr, old_data,
-                        header.size);
-        }
-        recovered.push_back({header.objAddr, header.size, ok});
-        off += alignUp8(sizeof(header) + header.size);
-    }
+    walkUndoLog(ImageReader{image}, log_base, log_region_size, recovered,
+                [&](const TxLogEntryHeader &header,
+                    const std::uint8_t *old_data) {
+                    std::memcpy(image.data() + header.objAddr, old_data,
+                                header.size);
+                });
     return recovered;
 }
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace pmdb
 {
@@ -167,31 +170,6 @@ MetricsSnapshot::find(const std::string &name) const
 namespace
 {
 
-void
-appendJsonString(std::ostringstream &out, const std::string &s)
-{
-    out << '"';
-    for (char c : s)
-    {
-        switch (c)
-        {
-        case '"':
-            out << "\\\"";
-            break;
-        case '\\':
-            out << "\\\\";
-            break;
-        case '\n':
-            out << "\\n";
-            break;
-        default:
-            out << c;
-            break;
-        }
-    }
-    out << '"';
-}
-
 const char *
 kindName(MetricSample::Kind kind)
 {
@@ -258,9 +236,8 @@ MetricsSnapshot::toJson() const
         if (!firstSample)
             out << ", ";
         firstSample = false;
-        out << "{\"name\": ";
-        appendJsonString(out, sample.name);
-        out << ", \"type\": \"" << kindName(sample.kind) << "\"";
+        out << "{\"name\": \"" << jsonEscape(sample.name)
+            << "\", \"type\": \"" << kindName(sample.kind) << "\"";
         if (sample.kind == MetricSample::Kind::Histogram)
         {
             out << ", \"count\": " << sample.hist.count
@@ -414,6 +391,23 @@ struct JsonCursor
                 case 'n':
                     out->push_back('\n');
                     break;
+                case 't':
+                    out->push_back('\t');
+                    break;
+                case 'u':
+                {
+                    // jsonEscape emits \u00XX for control characters
+                    // only; nothing else needs a code point.
+                    unsigned code = 0;
+                    if (end - p < 5 ||
+                        std::from_chars(p + 1, p + 5, code, 16).ptr !=
+                            p + 5 ||
+                        code > 0x7f)
+                        return fail("bad \\u escape");
+                    out->push_back(static_cast<char>(code));
+                    p += 4;
+                    break;
+                }
                 default:
                     out->push_back(*p);
                     break;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace pmdb
 {
 namespace telemetry
@@ -80,22 +82,6 @@ SpanBuffer::setCapacity(std::size_t capacity)
     }
 }
 
-namespace
-{
-
-void
-appendEscaped(std::ostringstream &out, const std::string &s)
-{
-    for (char c : s)
-    {
-        if (c == '"' || c == '\\')
-            out << '\\';
-        out << c;
-    }
-}
-
-} // namespace
-
 std::string
 SpanBuffer::toChromeTrace()
 {
@@ -108,20 +94,17 @@ SpanBuffer::toChromeTrace()
         if (!first)
             out << ",\n";
         first = false;
-        out << "{\"name\": \"";
-        appendEscaped(out, span.name);
-        out << "\", \"cat\": \"";
-        appendEscaped(out, span.category);
-        out << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << span.track
+        out << "{\"name\": \"" << jsonEscape(span.name)
+            << "\", \"cat\": \"" << jsonEscape(span.category)
+            << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << span.track
             << ", \"ts\": " << span.startNs / 1000 << "."
             << span.startNs % 1000 / 100
             << ", \"dur\": " << span.durNs / 1000 << "."
             << span.durNs % 1000 / 100;
         if (!span.arg.empty())
         {
-            out << ", \"args\": {\"detail\": \"";
-            appendEscaped(out, span.arg);
-            out << "\"}";
+            out << ", \"args\": {\"detail\": \"" << jsonEscape(span.arg)
+                << "\"}";
         }
         out << "}";
     }

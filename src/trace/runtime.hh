@@ -11,12 +11,15 @@
  * (the paper's "Nulgrind" baseline); attaching a detector measures that
  * detector's debugging overhead.
  *
- * Dispatch runs in one of three modes (setDispatchMode):
+ * Dispatch runs in one of two modes (setDispatchMode):
  *
  *  - PerEvent (default): every event is delivered to every sink
  *    immediately — the seed behavior, required by sinks whose state is
  *    queried synchronously between events (PMTest annotations,
  *    XFDetector cross-failure verifiers reading the device image).
+ *    It is also the reference the dispatch-equivalence tests compare
+ *    Batched against, and the unbuffered-instrumentation cost model
+ *    the Fig 8 figures report.
  *  - Batched: events accumulate in a fixed-capacity EventBatch and are
  *    flushed to sinks when the batch fills, at every ordering boundary
  *    (fence / epoch / strand / join / register / program-end), and at
@@ -29,16 +32,10 @@
  *    is taken once per batch flush instead of once per event (each
  *    ThreadId must be driven by at most one OS thread, which is how
  *    every workload in this repository uses the API).
- *  - Async: batches are published to a fixed-size ring and drained by a
- *    consumer thread, overlapping detection with workload execution.
- *    Async batches flush only at capacity and at drain() — sink state
- *    is coherent only at drain points anyway, so per-boundary publishes
- *    would buy nothing but condition-variable traffic. drain() (called
- *    by programEnd()) is the blocking barrier.
  *
  * Because batches are flushed in stream order and each sink receives
  * events in exactly per-event order, detector results for any
- * single-threaded event stream are bit-identical across the three
+ * single-threaded event stream are bit-identical across the two
  * modes (tests/test_dispatch.cc asserts this). Multi-threaded streams
  * keep per-thread event order but deliver cross-thread interleavings
  * at batch rather than event granularity.
@@ -70,11 +67,7 @@ enum class DispatchMode
     PerEvent,
     /** Accumulate into an EventBatch; flush at capacity/boundaries. */
     Batched,
-    /** Batched, with delivery on a consumer thread (SPSC ring). */
-    Async,
 };
-
-const char *toString(DispatchMode mode);
 
 /**
  * Dispatches instrumented PM operations to attached sinks.
@@ -109,33 +102,13 @@ class PmRuntime
     /** Select the dispatch mode; switching drains pending events. */
     void setDispatchMode(DispatchMode mode);
 
-    /** Convenience: toggle Batched mode (off returns to PerEvent). */
-    void setBatched(bool on)
-    {
-        setDispatchMode(on ? DispatchMode::Batched
-                           : DispatchMode::PerEvent);
-    }
-
-    /**
-     * Toggle the async pipeline: batches drain on a consumer thread so
-     * detection overlaps workload execution. Turning async off falls
-     * back to synchronous Batched mode.
-     */
-    void setAsync(bool on)
-    {
-        setDispatchMode(on ? DispatchMode::Async : DispatchMode::Batched);
-    }
-
-    /** Batch capacity for Batched/Async modes (drains, then resizes). */
+    /** Batch capacity for Batched mode (drains, then resizes). */
     void setBatchCapacity(std::size_t capacity);
 
-    DispatchMode dispatchMode() const { return mode_; }
-
     /**
-     * Flush the pending batch and, in Async mode, block until the
-     * consumer thread has delivered everything published so far. After
-     * drain() returns, every sink has observed every event issued
-     * before the call. No-op in PerEvent mode.
+     * Flush every pending batch. After drain() returns, every sink has
+     * observed every event issued before the call. No-op in PerEvent
+     * mode.
      */
     void drain();
 
@@ -155,7 +128,7 @@ class PmRuntime
      *
      * @p per_event is the clean-call charge: the register save/restore
      * and callout that unbuffered instrumentation pays on *every*
-     * event, and that buffered (Batched/Async) dispatch pays once per
+     * event, and that buffered (Batched) dispatch pays once per
      * drained buffer. @p per_append is the short inline buffer-append
      * stub that buffered instrumentation pays per event instead — the
      * few translated instructions that spill an event record into the
@@ -299,9 +272,6 @@ class PmRuntime
     StrandId strandOf(ThreadId thread) const;
 
   private:
-    /** Bounded SPSC pipe + consumer thread for Async mode. */
-    struct AsyncPipe;
-
     /** Threads whose strand state lives in the lock-free array. */
     static constexpr ThreadId maxTrackedThreads = 256;
 
@@ -323,7 +293,7 @@ class PmRuntime
     std::vector<TraceSink *> sinks_;
     /**
      * sinks_ partitioned by delivery policy: batchSinks_ receive
-     * handleBatch() in Batched/Async mode; syncSinks_
+     * handleBatch() in Batched mode; syncSinks_
      * (requiresSynchronousDelivery) always receive handle() inline at
      * dispatch, interleaved with the application.
      */
@@ -335,7 +305,7 @@ class PmRuntime
     int dbiSyncSinks_ = 0;
     std::uint32_t dbiEventCost_ = 25;
     std::uint32_t dbiOpCost_ = 400;
-    /** Inline buffer-append charge per event in Batched/Async modes. */
+    /** Inline buffer-append charge per event in Batched mode. */
     std::uint32_t dbiAppendCost_ = 4;
     NameTable names_;
     SeqNum seq_ = 0;
@@ -344,7 +314,7 @@ class PmRuntime
     EventBatch batch_;
     std::size_t batchCapacity_ = defaultBatchCapacity;
     /**
-     * Per-thread accumulation batches for thread-safe Batched/Async
+     * Per-thread accumulation batches for thread-safe Batched
      * dispatch, created lazily by the owning thread. Only the thread
      * driving that ThreadId touches its slot while events flow; drain()
      * walks all slots and assumes producers are quiescent (workloads
@@ -352,7 +322,6 @@ class PmRuntime
      */
     std::array<std::unique_ptr<EventBatch>, maxTrackedThreads>
         threadBatches_;
-    std::unique_ptr<AsyncPipe> pipe_;
 
     /**
      * Strand id of the currently open strand per thread; noStrand if

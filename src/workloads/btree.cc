@@ -4,6 +4,7 @@
 
 #include "common/rng.hh"
 #include "crashsim/capture.hh"
+#include "pmdk/reader.hh"
 
 namespace pmdb
 {
@@ -215,10 +216,11 @@ PersistentBTree::count() const
 namespace
 {
 
-/** Walk state for the image-level structural check. */
-struct BTreeImageWalk
+/** Walk state for the structural check, over either reader. */
+template <typename Reader>
+struct BTreeWalk
 {
-    const std::vector<std::uint8_t> &image;
+    const Reader &reader;
     std::uint64_t reachable = 0;
     std::uint64_t visited = 0;
     std::string error;
@@ -229,7 +231,7 @@ struct BTreeImageWalk
         if (!error.empty())
             return;
         if (addr == 0 || addr % 8 != 0 ||
-            addr + sizeof(Node) > image.size()) {
+            addr + sizeof(Node) > reader.size()) {
             error = "b_tree recovery: node pointer out of bounds";
             return;
         }
@@ -237,8 +239,7 @@ struct BTreeImageWalk
             error = "b_tree recovery: tree walk diverges (cycle?)";
             return;
         }
-        Node n;
-        std::memcpy(&n, image.data() + addr, sizeof(n));
+        const Node n = loadAs<Node>(reader, addr);
         if (n.nKeys > PersistentBTree::maxKeys) {
             error = "b_tree recovery: node key count corrupt";
             return;
@@ -257,17 +258,19 @@ struct BTreeImageWalk
     }
 };
 
+} // namespace
+
+template <typename Reader>
 std::string
-verifyBTreeImage(Addr meta_addr, const std::vector<std::uint8_t> &image)
+verifyBTreeRecovery(const Reader &reader, Addr meta_addr)
 {
     using Meta = PersistentBTree::Meta;
-    if (meta_addr + sizeof(Meta) > image.size())
+    if (meta_addr + sizeof(Meta) > reader.size())
         return "b_tree recovery: metadata out of bounds";
-    Meta meta;
-    std::memcpy(&meta, image.data() + meta_addr, sizeof(meta));
+    const Meta meta = loadAs<Meta>(reader, meta_addr);
     if (meta.rootNode == 0)
         return "b_tree recovery: root pointer lost";
-    BTreeImageWalk walk{image, 0, 0, {}};
+    BTreeWalk<Reader> walk{reader, 0, 0, {}};
     walk.node(meta.rootNode, 0);
     if (!walk.error.empty())
         return walk.error;
@@ -280,7 +283,8 @@ verifyBTreeImage(Addr meta_addr, const std::vector<std::uint8_t> &image)
     return "";
 }
 
-} // namespace
+template std::string verifyBTreeRecovery(const ImageReader &, Addr);
+template std::string verifyBTreeRecovery(const PoolReader &, Addr);
 
 CrossFailureChecker::Verifier
 btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region)
@@ -294,14 +298,14 @@ btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region)
                         sizeof(log_bytes));
         }
         if (log_bytes == 0)
-            return verifyBTreeImage(meta_addr, image);
+            return verifyBTreeRecovery(ImageReader{image}, meta_addr);
         // A crash mid-transaction: run undo-log recovery first, on a
         // private copy (the exploration shares the image across
         // candidates).
         std::vector<std::uint8_t> recovered = image;
         TxRecovery::rollbackImage(log_region.base, log_region.size,
                                   recovered);
-        return verifyBTreeImage(meta_addr, recovered);
+        return verifyBTreeRecovery(ImageReader{recovered}, meta_addr);
     };
 }
 

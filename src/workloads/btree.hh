@@ -95,12 +95,21 @@ class BTreeWorkload : public Workload
 };
 
 /**
+ * The b_tree recovery oracle: walks the tree from the metadata at
+ * @p meta_addr checking structural invariants (node bounds, key order,
+ * fanout) and that the number of reachable keys matches the durable
+ * metadata count. Returns "" when consistent, else the verdict.
+ * Instantiated for ImageReader (crash images) and PoolReader (the
+ * model checker's instrumented recovery); see pmdk/reader.hh.
+ */
+template <typename Reader>
+std::string verifyBTreeRecovery(const Reader &reader, Addr meta_addr);
+
+/**
  * Self-contained recovery verifier for crash-state exploration: runs
  * undo-log recovery over the crash image (TxRecovery::rollbackImage),
- * then walks the recovered tree checking structural invariants (node
- * bounds, key order, fanout) and that the number of reachable keys
- * matches the durable metadata count. Captures everything by value, so
- * it stays valid after the pool is destroyed.
+ * then verifyBTreeRecovery() over the recovered image. Captures
+ * everything by value, so it stays valid after the pool is destroyed.
  */
 CrossFailureChecker::Verifier
 btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region);

@@ -81,7 +81,7 @@ CaseEnv::checkCrossFailure(const PmemDevice &device,
                            const CrossFailureChecker::Verifier &verify)
 {
     // The crash image must reflect every event issued so far; under
-    // batched/async dispatch the device sink may still have events in
+    // batched dispatch the device sink may still have events in
     // flight, so force delivery before simulating the crash.
     runtime.drain();
     if (pmdebugger) {

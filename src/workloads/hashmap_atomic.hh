@@ -120,12 +120,21 @@ class HashmapAtomicWorkload : public Workload
 std::uint64_t hashmapAtomicTaggedValue(std::uint64_t key);
 
 /**
- * Self-contained recovery verifier for crash-state exploration: walks
- * every bucket chain in the crash image and requires each reachable
- * entry to be intact (in bounds, value matching its key's tag). The
- * element count is deliberately not checked — the count update is its
- * own durable step after publication, so recovery tolerates a stale
- * count but never a dangling or torn entry.
+ * The hashmap_atomic recovery oracle: walks every bucket chain from the
+ * metadata at @p meta_addr and requires each reachable entry to be
+ * intact (in bounds, value matching its key's tag). The element count
+ * is deliberately not checked — the count update is its own durable
+ * step after publication, so recovery tolerates a stale count but
+ * never a dangling or torn entry. Returns "" when consistent, else the
+ * verdict. Instantiated for ImageReader and PoolReader (pmdk/reader.hh).
+ */
+template <typename Reader>
+std::string verifyHashmapAtomicRecovery(const Reader &reader,
+                                        Addr meta_addr);
+
+/**
+ * Self-contained recovery verifier for crash-state exploration:
+ * verifyHashmapAtomicRecovery() over the crash image.
  */
 CrossFailureChecker::Verifier
 hashmapAtomicRecoveryVerifier(Addr meta_addr);

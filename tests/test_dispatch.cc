@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the batched event-dispatch pipeline: dispatch-mode
- * equivalence (per-event vs batched vs async must produce bit-identical
- * detector results), batch flush points, the async drain barrier,
- * per-thread strand tracking and the O(1) NameTable.
+ * equivalence (per-event vs batched must produce bit-identical
+ * detector results), batch flush points, the multi-producer drain
+ * barrier, per-thread strand tracking and the O(1) NameTable.
  */
 
 #include <algorithm>
@@ -104,7 +104,7 @@ runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
 
 /**
  * Every case of the 78-case suite (buggy and correct variant) must
- * report exactly the same bugs and bookkeeping counters in all three
+ * report exactly the same bugs and bookkeeping counters in both
  * dispatch modes.
  */
 TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
@@ -115,14 +115,9 @@ TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
                 runCaseInMode(bug_case, DispatchMode::PerEvent, buggy);
             const RunSignature bat =
                 runCaseInMode(bug_case, DispatchMode::Batched, buggy);
-            const RunSignature asy =
-                runCaseInMode(bug_case, DispatchMode::Async, buggy);
             EXPECT_TRUE(per == bat)
                 << "case " << bug_case.id << " (" << bug_case.name
                 << "), buggy=" << buggy << ": batched != per-event";
-            EXPECT_TRUE(per == asy)
-                << "case " << bug_case.id << " (" << bug_case.name
-                << "), buggy=" << buggy << ": async != per-event";
         }
     }
 }
@@ -154,7 +149,7 @@ runWorkloadInMode(const std::string &name, DispatchMode mode)
 
 /**
  * A real data-structure workload (fence intervals, CLF patterns,
- * array/tree migration) reports identical stats in all three modes —
+ * array/tree migration) reports identical stats in both modes —
  * including every ArrayStats counter, which proves the batched store
  * fast path performs exactly the per-event bookkeeping.
  */
@@ -164,8 +159,6 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
         runWorkloadInMode("b_tree", DispatchMode::PerEvent);
     const RunSignature bat =
         runWorkloadInMode("b_tree", DispatchMode::Batched);
-    const RunSignature asy =
-        runWorkloadInMode("b_tree", DispatchMode::Async);
 
     EXPECT_GT(per.stores, 0u);
     EXPECT_EQ(per.array.recordsCollectivelyFreed,
@@ -173,7 +166,6 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
     EXPECT_EQ(per.array.maxUsage, bat.array.maxUsage);
     EXPECT_EQ(per.tree.insertions, bat.tree.insertions);
     EXPECT_TRUE(per == bat);
-    EXPECT_TRUE(per == asy);
 }
 
 TEST(DispatchPipeline, BatchedFlushesAtBoundary)
@@ -181,7 +173,7 @@ TEST(DispatchPipeline, BatchedFlushesAtBoundary)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setBatched(true);
+    runtime.setDispatchMode(DispatchMode::Batched);
 
     runtime.store(0x100, 8);
     runtime.store(0x108, 8);
@@ -204,7 +196,7 @@ TEST(DispatchPipeline, BatchedFlushesAtCapacity)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setBatched(true);
+    runtime.setDispatchMode(DispatchMode::Batched);
     runtime.setBatchCapacity(4);
 
     for (int i = 0; i < 3; ++i)
@@ -220,7 +212,7 @@ TEST(DispatchPipeline, DetachAndDrainFlushPendingEvents)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setBatched(true);
+    runtime.setDispatchMode(DispatchMode::Batched);
 
     runtime.store(0x100, 8);
     EXPECT_EQ(recorder.events().size(), 0u);
@@ -233,47 +225,13 @@ TEST(DispatchPipeline, DetachAndDrainFlushPendingEvents)
         << "detach drains so no event is lost";
 }
 
-TEST(DispatchPipeline, AsyncProgramEndIsADeliveryBarrier)
-{
-    PmRuntime runtime;
-    TraceRecorder recorder;
-    runtime.attach(&recorder);
-    runtime.setAsync(true);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Async);
-
-    for (int i = 0; i < 1000; ++i) {
-        runtime.store(0x100 + 8 * (i % 64), 8);
-        if (i % 64 == 63)
-            runtime.fence();
-    }
-    runtime.programEnd();
-    // After the programEnd() barrier every event, including ProgramEnd
-    // itself, has been delivered on the consumer thread.
-    const auto &events = recorder.events();
-    ASSERT_EQ(events.size(), 1000u + 15u + 1u);
-    EXPECT_EQ(events.back().kind, EventKind::ProgramEnd);
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].seq, i + 1);
-}
-
-TEST(DispatchPipeline, AsyncOffFallsBackToBatched)
-{
-    PmRuntime runtime;
-    runtime.setAsync(true);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Async);
-    runtime.setAsync(false);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Batched);
-    runtime.setBatched(false);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::PerEvent);
-}
-
 TEST(DispatchPipeline, ThreadSafeBatchedKeepsPerThreadOrder)
 {
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setBatched(true);
+    runtime.setDispatchMode(DispatchMode::Batched);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 500;
@@ -315,7 +273,7 @@ TEST(DispatchPipeline, OverflowThreadIdsUseTheSharedPath)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setBatched(true);
+    runtime.setDispatchMode(DispatchMode::Batched);
 
     // ThreadIds beyond the lock-free per-thread array still dispatch
     // correctly (shared batch under the mutex).
@@ -328,20 +286,19 @@ TEST(DispatchPipeline, OverflowThreadIdsUseTheSharedPath)
 }
 
 /**
- * PR 1 asserted the drain() barrier only for a single producer. Here
- * four producer threads feed the async pipeline through their
+ * Four producer threads feed thread-safe Batched dispatch through their
  * per-thread lock-free batches, across several produce/join/drain
  * rounds: every drain must deliver everything produced so far (partial
  * per-thread batches included), sequence numbers must be unique and
- * gap-free, and per-thread order must survive the consumer thread.
+ * gap-free, and per-thread order must survive batch-granular delivery.
  */
-TEST(DispatchPipeline, AsyncDrainUnderMultipleProducerThreads)
+TEST(DispatchPipeline, BatchedDrainUnderMultipleProducerThreads)
 {
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setAsync(true);
+    runtime.setDispatchMode(DispatchMode::Batched);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 1500; // not a batch multiple

@@ -150,16 +150,23 @@ buildSnapshot()
 
 TEST(TelemetrySnapshot, JsonRoundTripIsIdentity)
 {
-    const MetricsSnapshot snap = buildSnapshot();
-    const std::string json = snap.toJson();
+    // Control characters in a label must be escaped on the way out
+    // (raw ones are invalid JSON) and decoded on the way back in.
+    MetricsSnapshot hostile = buildSnapshot();
+    hostile.addCounter("pmdbd.sessions{client=\"a\tb\x01\"}", 5);
+    hostile.sortByName();
+    for (const MetricsSnapshot &snap : {buildSnapshot(), hostile}) {
+        const std::string json = snap.toJson();
+        EXPECT_EQ(json.find_first_of("\t\x01"), std::string::npos);
 
-    MetricsSnapshot parsed;
-    std::string error;
-    ASSERT_TRUE(MetricsSnapshot::fromJson(json, &parsed, &error))
-        << error;
-    EXPECT_EQ(parsed, snap);
-    // Serialize -> parse -> serialize is a fixed point.
-    EXPECT_EQ(parsed.toJson(), json);
+        MetricsSnapshot parsed;
+        std::string error;
+        ASSERT_TRUE(MetricsSnapshot::fromJson(json, &parsed, &error))
+            << error;
+        EXPECT_EQ(parsed, snap);
+        // Serialize -> parse -> serialize is a fixed point.
+        EXPECT_EQ(parsed.toJson(), json);
+    }
 }
 
 TEST(TelemetrySnapshot, JsonRejectsGarbage)

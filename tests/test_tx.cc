@@ -38,8 +38,10 @@ class TxTest : public ::testing::Test
     }
 
     PmRuntime runtime;
-    PmemPool pool;
+    // Declared before the pool so it outlives it: the pool's destructor
+    // detaches the device, and the runtime walks every attached sink.
     TraceRecorder recorder;
+    PmemPool pool;
 };
 
 TEST_F(TxTest, CommitMakesLoggedStoresDurable)
