@@ -13,12 +13,14 @@
 #define PMDB_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stopwatch.hh"
 #include "common/table.hh"
@@ -57,21 +59,59 @@ benchCores()
 }
 
 /**
- * Host-metadata fragment for BENCH_*.json rows: the visible core
- * count plus a core_limited flag set when the host has fewer cores
- * than the benchmark's widest parallel phase (@p parallelism).
- * Numbers measured core-limited reflect time-slicing, not capacity —
- * downstream consumers filter on the flag. Splice right after the
- * opening "bench" field so every emitter carries the same keys.
+ * Host metadata for BENCH_*.json rows: the visible core count plus a
+ * core_limited flag set when the host has fewer cores than the
+ * benchmark's widest parallel phase (@p parallelism). Numbers
+ * measured core-limited reflect time-slicing, not capacity —
+ * downstream consumers filter on the flag.
  */
+inline JsonWriter &
+writeHostMeta(JsonWriter &out, unsigned parallelism = 1)
+{
+    const unsigned cores = benchCores();
+    return out.field("cores", cores)
+        .field("core_limited", cores < parallelism);
+}
+
+/** writeHostMeta's members as a bare fragment, for splicing. */
 inline std::string
 hostMetaJson(unsigned parallelism = 1)
 {
-    const unsigned cores = benchCores();
-    return "\"cores\": " + std::to_string(cores) +
-           ", \"core_limited\": " +
-           (cores < parallelism ? "true" : "false");
+    JsonWriter out;
+    const std::string &doc =
+        writeHostMeta(out.beginObject(), parallelism).endObject().str();
+    return doc.substr(1, doc.size() - 2);
 }
+
+/**
+ * One bench's JSON row, opened with its "bench" name and the host
+ * metadata so every emitter carries the same leading keys.
+ */
+class BenchJson : public JsonWriter
+{
+  public:
+    explicit BenchJson(const std::string &name, unsigned parallelism = 1)
+        : name_(name)
+    {
+        writeHostMeta(beginObject().field("bench", name), parallelism);
+    }
+
+    /** Close the row, print it, and write it to BENCH_<name>.json. */
+    void
+    emit()
+    {
+        const std::string &json = endObject().str();
+        std::printf("\n%s\n", json.c_str());
+        if (std::FILE *f = std::fopen(("BENCH_" + name_ + ".json").c_str(),
+                                      "w")) {
+            std::fprintf(f, "%s\n", json.c_str());
+            std::fclose(f);
+        }
+    }
+
+  private:
+    std::string name_;
+};
 
 /**
  * Dispatch mode used for detector runs, from PMDB_DISPATCH

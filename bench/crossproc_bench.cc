@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -189,28 +188,18 @@ benchMain()
                     "(want %zu)\n", cleanOff.crossBugs,
                     cleanOn.crossBugs, seededOn.crossBugs, ops);
 
-    std::ostringstream json;
-    json << "{\"bench\": \"crossproc\", "
-         << hostMetaJson(static_cast<unsigned>(shards))
-         << ", \"ops\": " << ops
-         << ", \"shards\": " << shards
-         << ", \"events_per_sec_independent\": "
-         << fmtDouble(rate(cleanOff), 0)
-         << ", \"events_per_sec_cross_clean\": "
-         << fmtDouble(rate(cleanOn), 0)
-         << ", \"events_per_sec_cross_seeded\": "
-         << fmtDouble(rate(seededOn), 0)
-         << ", \"merged_events_clean\": " << cleanOn.mergedEvents
-         << ", \"cross_overhead\": " << fmtDouble(overhead, 4)
-         << ", \"seeded_fault\": \"" << fault << "\""
-         << ", \"seeded_cross_bugs\": " << seededOn.crossBugs
-         << ", \"verdict_ok\": " << (verdictOk ? "true" : "false")
-         << "}";
-    std::printf("\n%s\n", json.str().c_str());
-    if (std::FILE *f = std::fopen("BENCH_crossproc.json", "w")) {
-        std::fprintf(f, "%s\n", json.str().c_str());
-        std::fclose(f);
-    }
+    BenchJson json("crossproc", static_cast<unsigned>(shards));
+    json.field("ops", ops)
+        .field("shards", shards)
+        .field("events_per_sec_independent", rate(cleanOff))
+        .field("events_per_sec_cross_clean", rate(cleanOn))
+        .field("events_per_sec_cross_seeded", rate(seededOn))
+        .field("merged_events_clean", cleanOn.mergedEvents)
+        .field("cross_overhead", overhead)
+        .field("seeded_fault", fault)
+        .field("seeded_cross_bugs", seededOn.crossBugs)
+        .field("verdict_ok", verdictOk);
+    json.emit();
     return verdictOk ? 0 : 1;
 }
 

@@ -151,23 +151,13 @@ benchMain()
 
     const double batched_speedup = bat.eventsPerSec / per.eventsPerSec;
 
-    char json[1024];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\": \"dispatch\", %s, \"events\": %llu, "
-        "\"events_per_sec_perevent\": %.0f, "
-        "\"events_per_sec_batched\": %.0f, "
-        "\"batched_speedup\": %.3f, \"results_identical\": %s}",
-        hostMetaJson().c_str(),
-        static_cast<unsigned long long>(per.events),
-        per.eventsPerSec, bat.eventsPerSec, batched_speedup,
-        micro_identical && wl_identical ? "true" : "false");
-
-    std::printf("\n%s\n", json);
-    if (std::FILE *f = std::fopen("BENCH_dispatch.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    }
+    BenchJson json("dispatch");
+    json.field("events", per.events)
+        .field("events_per_sec_perevent", per.eventsPerSec)
+        .field("events_per_sec_batched", bat.eventsPerSec)
+        .field("batched_speedup", batched_speedup)
+        .field("results_identical", micro_identical && wl_identical);
+    json.emit();
 
     return micro_identical && wl_identical ? 0 : 1;
 }

@@ -223,24 +223,17 @@ benchMain()
                     benchScale());
     }
 
-    char json[512];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\": \"telemetry\", %s, \"events\": %llu, "
-        "\"events_per_sec_off\": %.0f, \"events_per_sec_on\": %.0f, "
-        "\"overhead_pct\": %.2f, \"counter_add_ns\": %.2f, "
-        "\"histogram_record_ns\": %.2f, \"enabled_gate_ns\": %.2f, "
-        "\"results_identical\": %s, \"overhead_ok\": %s}",
-        hostMetaJson().c_str(),
-        static_cast<unsigned long long>(on.events), off.eventsPerSec,
-        on.eventsPerSec, overheadPct, counterNs, histNs, gateNs,
-        identical ? "true" : "false", overheadOk ? "true" : "false");
-
-    std::printf("\n%s\n", json);
-    if (std::FILE *f = std::fopen("BENCH_telemetry.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    }
+    BenchJson json("telemetry");
+    json.field("events", on.events)
+        .field("events_per_sec_off", off.eventsPerSec)
+        .field("events_per_sec_on", on.eventsPerSec)
+        .field("overhead_pct", overheadPct)
+        .field("counter_add_ns", counterNs)
+        .field("histogram_record_ns", histNs)
+        .field("enabled_gate_ns", gateNs)
+        .field("results_identical", identical)
+        .field("overhead_ok", overheadOk);
+    json.emit();
 
     return identical && (overheadOk || !gated) ? 0 : 1;
 }

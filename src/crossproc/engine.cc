@@ -1,30 +1,47 @@
 #include "crossproc/engine.hh"
 
 #include <algorithm>
-#include <sstream>
 
-#include "common/json.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
 {
 
+void
+CrossGroupResult::writeJson(JsonWriter &out) const
+{
+    out.beginObject().field("pool", pool).key("writers").beginArray();
+    for (const std::uint32_t writer : writers)
+        out.value(writer);
+    out.endArray()
+        .field("events_replayed", eventsReplayed)
+        .key("cross_bugs")
+        .beginArray();
+    for (const CrossBug &bug : bugs) {
+        out.beginObject()
+            .field("rule", toString(bug.type))
+            .field("detail", bug.toString())
+            .endObject();
+    }
+    out.endArray().endObject();
+}
+
 std::string
 CrossGroupResult::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"pool\": \"" << jsonEscape(pool) << "\", \"writers\": [";
-    for (std::size_t i = 0; i < writers.size(); ++i)
-        out << (i ? ", " : "") << writers[i];
-    out << "], \"events_replayed\": " << eventsReplayed
-        << ", \"cross_bugs\": [";
-    for (std::size_t i = 0; i < bugs.size(); ++i) {
-        out << (i ? ", " : "") << "{\"rule\": \""
-            << toString(bugs[i].type) << "\", \"detail\": \""
-            << jsonEscape(bugs[i].toString()) << "\"}";
-    }
-    out << "]}";
+    JsonWriter out;
+    writeJson(out);
     return out.str();
+}
+
+void
+writeCrossGroupsJson(JsonWriter &out,
+                     const std::vector<CrossGroupResult> &groups)
+{
+    out.beginArray();
+    for (const CrossGroupResult &group : groups)
+        group.writeJson(out);
+    out.endArray();
 }
 
 CrossprocEngine::CrossprocEngine(std::size_t shards, Addr stripeBytes)
@@ -137,18 +154,6 @@ CrossprocEngine::results() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return results_;
-}
-
-std::string
-CrossprocEngine::resultsJson() const
-{
-    const std::vector<CrossGroupResult> all = results();
-    std::ostringstream out;
-    out << "[";
-    for (std::size_t i = 0; i < all.size(); ++i)
-        out << (i ? ", " : "") << all[i].toJson();
-    out << "]";
-    return out.str();
 }
 
 } // namespace pmdb

@@ -24,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hh"
 #include "crossproc/rules.hh"
 #include "trace/event.hh"
 
@@ -42,9 +43,18 @@ struct CrossGroupResult
     /** Inter-writer violations, in merged-replay detection order. */
     std::vector<CrossBug> bugs;
 
-    /** JSON object used by pmdbd --json and pmdb_crossproc. */
+    /** Append this group as one JSON object. */
+    void writeJson(JsonWriter &out) const;
+    /** This group as a standalone JSON object. */
     std::string toJson() const;
 };
+
+/**
+ * Append @p groups as a JSON array: the one renderer behind pmdbd
+ * --json's "crossproc" and pmdb_crossproc --json's "groups".
+ */
+void writeCrossGroupsJson(JsonWriter &out,
+                          const std::vector<CrossGroupResult> &groups);
 
 /** Groups shared-pool sessions and runs the cross-writer rules. */
 class CrossprocEngine
@@ -73,9 +83,6 @@ class CrossprocEngine
 
     /** Verdicts of all evaluated groups, in completion order. */
     std::vector<CrossGroupResult> results() const;
-
-    /** JSON array of all group verdicts. */
-    std::string resultsJson() const;
 
   private:
     struct Member

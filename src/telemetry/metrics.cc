@@ -228,36 +228,33 @@ promName(const std::string &bare)
 std::string
 MetricsSnapshot::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"schema\": " << schemaVersion << ", \"metrics\": [";
-    bool firstSample = true;
+    JsonWriter out;
+    out.beginObject()
+        .field("schema", schemaVersion)
+        .key("metrics")
+        .beginArray();
     for (const MetricSample &sample : samples)
     {
-        if (!firstSample)
-            out << ", ";
-        firstSample = false;
-        out << "{\"name\": \"" << jsonEscape(sample.name)
-            << "\", \"type\": \"" << kindName(sample.kind) << "\"";
+        out.beginObject()
+            .field("name", sample.name)
+            .field("type", kindName(sample.kind));
         if (sample.kind == MetricSample::Kind::Histogram)
         {
-            out << ", \"count\": " << sample.hist.count
-                << ", \"sum\": " << sample.hist.sum << ", \"buckets\": [";
+            out.field("count", sample.hist.count)
+                .field("sum", sample.hist.sum)
+                .key("buckets")
+                .beginArray();
             for (std::size_t b = 0; b < histogramBuckets; ++b)
-            {
-                if (b)
-                    out << ", ";
-                out << sample.hist.buckets[b];
-            }
-            out << "]";
+                out.value(sample.hist.buckets[b]);
+            out.endArray();
         }
         else
         {
-            out << ", \"value\": " << sample.value;
+            out.field("value", sample.value);
         }
-        out << "}";
+        out.endObject();
     }
-    out << "]}";
-    return out.str();
+    return out.endArray().endObject().str();
 }
 
 std::string

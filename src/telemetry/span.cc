@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <sstream>
 
 #include "common/json.hh"
 
@@ -86,32 +85,36 @@ std::string
 SpanBuffer::toChromeTrace()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream out;
-    out << "{\"traceEvents\": [";
-    bool first = true;
+    // Chrome timestamps are microseconds; keep 0.1 us resolution.
+    const auto micros = [](std::uint64_t ns) {
+        return static_cast<double>(ns / 100) / 10.0;
+    };
+    JsonWriter out;
+    out.beginObject().key("traceEvents").beginArray();
     for (const Span &span : spans_)
     {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "{\"name\": \"" << jsonEscape(span.name)
-            << "\", \"cat\": \"" << jsonEscape(span.category)
-            << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << span.track
-            << ", \"ts\": " << span.startNs / 1000 << "."
-            << span.startNs % 1000 / 100
-            << ", \"dur\": " << span.durNs / 1000 << "."
-            << span.durNs % 1000 / 100;
+        out.beginObject()
+            .field("name", span.name)
+            .field("cat", span.category)
+            .field("ph", "X")
+            .field("pid", 1)
+            .field("tid", span.track)
+            .field("ts", micros(span.startNs))
+            .field("dur", micros(span.durNs));
         if (!span.arg.empty())
         {
-            out << ", \"args\": {\"detail\": \"" << jsonEscape(span.arg)
-                << "\"}";
+            out.key("args").beginObject().field("detail", span.arg);
+            out.endObject();
         }
-        out << "}";
+        out.endObject();
     }
-    out << "],\n\"displayTimeUnit\": \"ms\", \"otherData\": "
-           "{\"dropped_spans\": "
-        << dropped_ << "}}";
-    return out.str();
+    out.endArray()
+        .field("displayTimeUnit", "ms")
+        .key("otherData")
+        .beginObject()
+        .field("dropped_spans", dropped_)
+        .endObject();
+    return out.endObject().str();
 }
 
 bool

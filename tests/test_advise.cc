@@ -16,6 +16,7 @@
 #include "advise/advise.hh"
 #include "advise/corpus.hh"
 #include "advise/report.hh"
+#include "json_check.hh"
 #include "repair/case_repair.hh"
 #include "trace/recorder.hh"
 #include "trace/runtime.hh"
@@ -302,6 +303,7 @@ TEST(Corpus, ReportIsBitIdenticalAcrossWorkerCounts)
     }
     EXPECT_NE(baseline.find("\"version\": \"pmdb-advise-v1\""),
               std::string::npos);
+    EXPECT_TRUE(parsesAsJson(baseline)) << baseline;
 }
 
 TEST(Corpus, PerformanceCaseYieldsSavingsEstimates)

@@ -1,18 +1,26 @@
 /**
  * @file
  * Unit tests for the common utilities: address-range arithmetic,
- * deterministic RNG, zipfian generators and table rendering.
+ * deterministic RNG, zipfian generators, table rendering, the flag
+ * parser and the JSON writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "common/types.hh"
+#include "json_check.hh"
 
 namespace pmdb
 {
@@ -213,6 +221,186 @@ TEST(Mix64Test, IsDeterministicAndSpreads)
     for (std::uint64_t i = 0; i < 1000; ++i)
         outputs.insert(mix64(i));
     EXPECT_EQ(outputs.size(), 1000u);
+}
+
+/** Run @p flags over "tool <args...>" from index 1. */
+int
+parseArgs(cli::FlagSet &flags, std::vector<std::string> args)
+{
+    args.insert(args.begin(), "tool");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return flags.parse(static_cast<int>(argv.size()), argv.data(), 1);
+}
+
+TEST(FlagSetTest, StoresEveryKind)
+{
+    bool on = false;
+    bool off = true;
+    std::string name;
+    std::size_t count = 0;
+    double ratio = 0.0;
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.flag("--on", "set", &on)
+        .flag("--off", "clear", &off, false)
+        .option("--name S", "string", &name)
+        .option("--count N", "unsigned", &count)
+        .option("--ratio R", "double", &ratio);
+    EXPECT_EQ(parseArgs(flags, {"--on", "--off", "--name", "-x", "--count",
+                                "42", "--ratio", "0.25"}),
+              cli::exitOk);
+    EXPECT_TRUE(on);
+    EXPECT_FALSE(off);
+    EXPECT_EQ(name, "-x");
+    EXPECT_EQ(count, 42u);
+    EXPECT_EQ(ratio, 0.25);
+}
+
+TEST(FlagSetTest, RejectsUnknownMissingAndStray)
+{
+    std::string name;
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.option("--name S", "string", &name);
+    EXPECT_EQ(parseArgs(flags, {"--nmae", "x"}), cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {"--name"}), cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {"--name", "x", "stray"}), cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {}), cli::exitOk);
+}
+
+TEST(FlagSetTest, UnsignedIsStrictAndRangeChecked)
+{
+    std::uint32_t slots = 7;
+    std::uint64_t wide = 0;
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.option("--slots N", "bounded", &slots, 1, 4)
+        .option("--wide N", "full range", &wide);
+    EXPECT_EQ(parseArgs(flags, {"--slots", "1"}), cli::exitOk);
+    EXPECT_EQ(slots, 1u);
+    EXPECT_EQ(parseArgs(flags, {"--slots", "4"}), cli::exitOk);
+    EXPECT_EQ(slots, 4u);
+    for (const char *bad : {"0", "5", "-1", "abc", "3x", "", " 3", "+3"})
+        EXPECT_EQ(parseArgs(flags, {"--slots", bad}), cli::exitUsage) << bad;
+    EXPECT_EQ(slots, 4u);
+
+    EXPECT_EQ(parseArgs(flags, {"--wide", "18446744073709551615"}),
+              cli::exitOk);
+    EXPECT_EQ(wide, UINT64_MAX);
+    EXPECT_EQ(parseArgs(flags, {"--wide", "18446744073709551616"}),
+              cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {"--wide", "-1"}), cli::exitUsage);
+    EXPECT_EQ(wide, UINT64_MAX);
+}
+
+TEST(FlagSetTest, TypeBoundsTheDefaultRange)
+{
+    std::uint32_t narrow = 0;
+    int threads = 0;
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.option("--narrow N", "32-bit", &narrow)
+        .option("--threads N", "int", &threads);
+    EXPECT_EQ(parseArgs(flags, {"--narrow", "4294967295"}), cli::exitOk);
+    EXPECT_EQ(parseArgs(flags, {"--narrow", "4294967296"}),
+              cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {"--threads", "2147483648"}),
+              cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {"--threads", "-2"}), cli::exitUsage);
+    EXPECT_EQ(narrow, 4294967295u);
+    EXPECT_EQ(threads, 0);
+}
+
+TEST(FlagSetTest, DoubleRejectsGarbage)
+{
+    double ratio = 0.5;
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.option("--ratio R", "double", &ratio);
+    for (const char *bad : {"x", "0.5x", ""})
+        EXPECT_EQ(parseArgs(flags, {"--ratio", bad}), cli::exitUsage) << bad;
+    EXPECT_EQ(ratio, 0.5);
+    EXPECT_EQ(parseArgs(flags, {"--ratio", "1e-3"}), cli::exitOk);
+    EXPECT_EQ(ratio, 1e-3);
+}
+
+TEST(FlagSetTest, RepeatedCallbackAccumulates)
+{
+    std::vector<std::string> faults;
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.option("--fault NAME", "repeatable",
+                 [&](const std::string &name) {
+                     faults.push_back(name);
+                     return cli::exitOk;
+                 });
+    EXPECT_EQ(parseArgs(flags, {"--fault", "a", "--fault", "b"}),
+              cli::exitOk);
+    EXPECT_EQ(faults, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(FlagSetTest, CallbackRejectionPropagates)
+{
+    cli::FlagSet flags("tool", {"[options]"});
+    flags.option("--mode a|b", "usage-rejected",
+                 [](const std::string &mode) {
+                     return mode == "a" || mode == "b" ? cli::exitOk
+                                                       : cli::exitUsage;
+                 })
+        .option("--case NAME", "own exit code",
+                [](const std::string &) { return cli::exitUnknownName; });
+    EXPECT_EQ(parseArgs(flags, {"--mode", "b"}), cli::exitOk);
+    EXPECT_EQ(parseArgs(flags, {"--mode", "c"}), cli::exitUsage);
+    EXPECT_EQ(parseArgs(flags, {"--case", "x"}), cli::exitUnknownName);
+}
+
+TEST(FlagSetTest, PositionalNumbersAreStrict)
+{
+    cli::FlagSet flags("tool", {"<ops>"});
+    std::size_t ops = 9;
+    EXPECT_EQ(flags.positional("<ops>", "abc", &ops), cli::exitUsage);
+    EXPECT_EQ(flags.positional("<ops>", "-1", &ops), cli::exitUsage);
+    EXPECT_EQ(ops, 9u);
+    EXPECT_EQ(flags.positional("<ops>", "100", &ops), cli::exitOk);
+    EXPECT_EQ(ops, 100u);
+}
+
+TEST(JsonWriterTest, CompactLayoutAndNesting)
+{
+    JsonWriter out;
+    out.beginObject()
+        .field("n", 3)
+        .field("s", "say \"hi\"\n")
+        .field("ok", true)
+        .key("empty")
+        .beginArray()
+        .endArray()
+        .key("xs")
+        .beginArray()
+        .value(1)
+        .beginObject()
+        .field("k", false)
+        .endObject()
+        .raw("{\"pre\": 1}")
+        .endArray()
+        .endObject();
+    EXPECT_EQ(out.str(),
+              "{\"n\": 3, \"s\": \"say \\\"hi\\\"\\n\", \"ok\": true, "
+              "\"empty\": [], \"xs\": [1, {\"k\": false}, {\"pre\": 1}]}");
+    EXPECT_TRUE(parsesAsJson(out.str()));
+}
+
+TEST(JsonWriterTest, NumbersAreExactAndShortest)
+{
+    JsonWriter out;
+    out.beginArray()
+        .value(UINT64_MAX)
+        .value(std::int64_t{-5})
+        .value(1.0)
+        .value(0.1)
+        .value(1.0 / 3.0)
+        .value(1e21)
+        .value(std::numeric_limits<double>::quiet_NaN())
+        .endArray();
+    EXPECT_EQ(out.str(), "[18446744073709551615, -5, 1.0, 0.1, "
+                         "0.3333333333333333, 1e+21, null]");
+    EXPECT_TRUE(parsesAsJson(out.str()));
 }
 
 } // namespace

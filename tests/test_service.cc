@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "core/debugger.hh"
+#include "json_check.hh"
 #include "service/daemon.hh"
 #include "service/protocol.hh"
 #include "service/remote_sink.hh"
@@ -476,6 +477,7 @@ TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
     EXPECT_NE(sessions[0].id, sessions[1].id);
     const std::string json = daemon.aggregatedJson();
     EXPECT_NE(json.find("\"sessions\""), std::string::npos);
+    EXPECT_TRUE(parsesAsJson(json)) << json;
     daemon.stop();
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "json_check.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 
@@ -158,6 +159,7 @@ TEST(TelemetrySnapshot, JsonRoundTripIsIdentity)
     for (const MetricsSnapshot &snap : {buildSnapshot(), hostile}) {
         const std::string json = snap.toJson();
         EXPECT_EQ(json.find_first_of("\t\x01"), std::string::npos);
+        EXPECT_TRUE(parsesAsJson(json)) << json;
 
         MetricsSnapshot parsed;
         std::string error;
@@ -284,6 +286,7 @@ TEST(TelemetrySpans, BufferDrainsAndExports)
     EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(trace.find("\"manual\""), std::string::npos);
     EXPECT_NE(trace.find("\"unit.test\""), std::string::npos);
+    EXPECT_TRUE(parsesAsJson(trace)) << trace;
 
     const std::deque<Span> spans = buffer.drain();
     setSpansEnabled(was);

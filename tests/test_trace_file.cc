@@ -15,6 +15,7 @@
 #include "core/report.hh"
 #include "detectors/persistence_inspector.hh"
 #include "detectors/registry.hh"
+#include "json_check.hh"
 #include "trace/recorder.hh"
 #include "trace/trace_file.hh"
 #include "workloads/workload.hh"
@@ -347,6 +348,7 @@ TEST(JsonReportTest, EscapesAndStructures)
     EXPECT_NE(json.find("\"start\": 16"), std::string::npos);
     EXPECT_NE(json.find("missing-flush"), std::string::npos);
     EXPECT_NE(json.find("say \\\"hi\\\""), std::string::npos);
+    EXPECT_TRUE(parsesAsJson(json)) << json;
 }
 
 TEST(JsonReportTest, IncludesStats)
@@ -359,6 +361,7 @@ TEST(JsonReportTest, IncludesStats)
     EXPECT_NE(json.find("\"stores\": 10"), std::string::npos);
     EXPECT_NE(json.find("\"fences\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"bugs\": []"), std::string::npos);
+    EXPECT_TRUE(parsesAsJson(json)) << json;
 }
 
 } // namespace

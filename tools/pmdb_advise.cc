@@ -9,10 +9,7 @@
  * hashmap_atomic.cc:insert.fill_entry, confirmed in 6/6 traces").
  *
  * Usage:
- *   pmdb_advise case:<name> [--seeds A,B,..] [--threads N,M]
- *               [--mixes a,b,..] [--ops N] [--workers N]
- *               [--min-confidence F] [--optimize] [--json] [--out FILE]
- *               [--no-minimize] [--max-replays N]
+ *   pmdb_advise case:<name> [options]
  *
  * --workers parallelizes the per-trace repairs; the report is
  * bit-identical for any worker count (single-threaded corpora).
@@ -26,59 +23,38 @@
  * advisory at or above --min-confidence survived the requested view.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "advise/corpus.hh"
 #include "advise/report.hh"
+#include "common/cli.hh"
 #include "repair/case_repair.hh"
 
 namespace
 {
 
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-constexpr int exitNoRepair = 6;
-/** Corpus ran, but every advisory fell below the confidence bar. */
-constexpr int exitNoAdvisory = 7;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s case:<name> [--seeds A,B,..] [--threads N,M]\n"
-        "       [--mixes a,b,..] [--ops N] [--workers N]\n"
-        "       [--min-confidence F] [--optimize] [--json] [--out FILE]\n"
-        "       [--no-minimize] [--max-replays N]\n",
-        argv0);
-    return exitUsage;
-}
-
-/** Parse "9,11,13" into integers; false on any non-numeric field. */
+/** Parse "9,11,13"; false on any malformed or out-of-range field. */
+template <typename T>
 bool
-parseList(const std::string &text, std::vector<std::uint64_t> *out)
+parseList(const std::string &text, std::vector<T> *out)
 {
     out->clear();
-    std::size_t at = 0;
-    while (at <= text.size()) {
-        std::size_t end = text.find(',', at);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string field = text.substr(at, end - at);
-        if (field.empty())
+    for (std::size_t at = 0; at <= text.size();) {
+        const std::size_t end = std::min(text.find(',', at), text.size());
+        std::uint64_t value = 0;
+        if (!pmdb::cli::parseUnsigned(text.substr(at, end - at), &value) ||
+            value > static_cast<std::uint64_t>(
+                        std::numeric_limits<T>::max())) {
             return false;
-        char *tail = nullptr;
-        const std::uint64_t value =
-            std::strtoull(field.c_str(), &tail, 10);
-        if (!tail || *tail)
-            return false;
-        out->push_back(value);
+        }
+        out->push_back(static_cast<T>(value));
         at = end + 1;
     }
-    return !out->empty();
+    return true;
 }
 
 } // namespace
@@ -87,75 +63,58 @@ int
 main(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 2)
-        return usage(argv[0]);
-    const std::string source = argv[1];
-    if (source.rfind("case:", 0) != 0)
-        return usage(argv[0]);
 
     CorpusSpec spec;
     bool optimize = false;
     bool json = false;
     double min_confidence = 0.0;
     std::string out_path;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seeds" && i + 1 < argc) {
-            if (!parseList(argv[++i], &spec.seeds)) {
-                std::fprintf(stderr, "bad --seeds list '%s'\n", argv[i]);
-                return usage(argv[0]);
-            }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            std::vector<std::uint64_t> counts;
-            if (!parseList(argv[++i], &counts)) {
-                std::fprintf(stderr, "bad --threads list '%s'\n",
-                             argv[i]);
-                return usage(argv[0]);
-            }
-            spec.threads.clear();
-            for (const std::uint64_t count : counts)
-                spec.threads.push_back(static_cast<int>(count));
-        } else if (arg == "--mixes" && i + 1 < argc) {
-            spec.mixes.clear();
-            for (const char *c = argv[++i]; *c; ++c) {
-                if (*c == ',')
-                    continue;
-                if (*c < 'a' || *c > 'f') {
-                    std::fprintf(stderr, "bad YCSB mix '%c'\n", *c);
-                    return usage(argv[0]);
-                }
-                spec.mixes.push_back(*c);
-            }
-            if (spec.mixes.empty())
-                return usage(argv[0]);
-        } else if (arg == "--ops" && i + 1 < argc) {
-            spec.operations = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--workers" && i + 1 < argc) {
-            spec.workers = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--min-confidence" && i + 1 < argc) {
-            min_confidence = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--max-replays" && i + 1 < argc) {
-            spec.minimize.maxReplays =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--no-minimize") {
-            spec.minimizeFirst = false;
-        } else if (arg == "--optimize") {
-            optimize = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
+    const auto accept = [](bool ok) {
+        return ok ? cli::exitOk : cli::exitUsage;
+    };
+    cli::FlagSet flags(argv[0], {"case:<name> [options]"});
+    flags.option("--seeds A,B,..", "workload seeds",
+                 [&](const std::string &text) {
+                     return accept(parseList(text, &spec.seeds));
+                 })
+        .option("--threads N,M", "thread counts",
+                [&](const std::string &text) {
+                    return accept(parseList(text, &spec.threads));
+                })
+        .option("--mixes a,b,..", "YCSB mixes (a..f)",
+                [&](const std::string &text) {
+                    spec.mixes.clear();
+                    for (const char c : text) {
+                        if (c == ',')
+                            continue;
+                        if (c < 'a' || c > 'f')
+                            return cli::exitUsage;
+                        spec.mixes.push_back(c);
+                    }
+                    return accept(!spec.mixes.empty());
+                })
+        .option("--ops N", "operations per trace", &spec.operations)
+        .option("--workers N", "parallel repairs", &spec.workers)
+        .option("--min-confidence F", "advisory confidence bar",
+                &min_confidence)
+        .option("--max-replays N", "minimization replay cap",
+                &spec.minimize.maxReplays)
+        .flag("--no-minimize", "repair unminimized traces",
+              &spec.minimizeFirst, false)
+        .flag("--optimize", "deletion advisories by savings", &optimize)
+        .flag("--json", "print the report as JSON", &json)
+        .option("--out FILE", "write the report to FILE", &out_path);
+    if (const int rc = flags.parse(argc, argv, 2))
+        return rc;
+    const std::string source = argv[1];
+    if (source.rfind("case:", 0) != 0)
+        return flags.usage();
 
     const BugCase *bug_case = findBugCase(source.substr(5));
     if (!bug_case) {
         std::fprintf(stderr, "unknown bug-suite case '%s'\n",
                      source.substr(5).c_str());
-        return exitUnknownName;
+        return cli::exitUnknownName;
     }
 
     AdviseReport report = runAdviseCorpus(*bug_case, spec);
@@ -181,7 +140,7 @@ main(int argc, char **argv)
         if (!out) {
             std::fprintf(stderr, "cannot open %s for writing\n",
                          out_path.c_str());
-            return exitUsage;
+            return cli::exitUsage;
         }
         std::fputs(rendered.c_str(), out);
         std::fclose(out);
@@ -195,14 +154,14 @@ main(int argc, char **argv)
                      "case %s: target bug not reproduced on any corpus "
                      "trace\n",
                      bug_case->name.c_str());
-        return exitNoRepair;
+        return cli::exitNoRepair;
     }
     if (report.advisories.empty()) {
         std::fprintf(stderr,
                      "case %s: no advisory at or above confidence "
                      "%.4f\n",
                      bug_case->name.c_str(), min_confidence);
-        return exitNoAdvisory;
+        return cli::exitNoAdvisory;
     }
     return 0;
 }

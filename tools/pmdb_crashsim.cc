@@ -8,18 +8,9 @@
  *       crashsim-only seeded cases, buggy and correct variants, and
  *       report what the single-image checker vs the exploration
  *       engine found.
- *   pmdb_crashsim run <workload> [--ops N] [--fault NAME] [options]
+ *   pmdb_crashsim run <workload> [options]
  *       Run an evaluation workload (b_tree, hashmap_atomic) with its
  *       recovery verifier adopted and explore every crash point.
- *
- * Common options:
- *   --workers N        verification worker threads (default 1)
- *   --max-pending K    pending-line cap per crash point (default 12)
- *   --max-images N     candidate-image cap per crash point (default 256)
- *   --seed S           exploration schedule seed (default 1)
- *   --flush-points     also capture a crash point at every CLF
- *   --no-epoch-atomic  Jaaru-style sweep inside transactions too
- *   --json             machine-readable result (run mode)
  *
  * Exit codes: 0 success (run mode: also when findings exist — the
  * report is the product), 1 a case behaved unexpectedly (missed bug or
@@ -31,33 +22,15 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "workloads/crashsim_runner.hh"
 
 namespace
 {
-
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-/** Run-mode: the bounds cut enumeration short (coverage incomplete). */
-constexpr int exitTruncatedEnumeration = 5;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s case <name|all> [options]\n"
-        "       %s run <workload> [--ops N] [--fault NAME] [options]\n"
-        "options: --workers N --max-pending K --max-images N --seed S\n"
-        "         --flush-points --no-epoch-atomic --json\n",
-        argv0, argv0);
-    return exitUsage;
-}
 
 /** Cases the engine covers: suite xf cases + crashsim-only cases. */
 std::vector<const pmdb::BugCase *>
@@ -160,48 +133,36 @@ main(int argc, char **argv)
 {
     using namespace pmdb;
 
-    if (argc < 3)
-        return usage(argv[0]);
-    const std::string command = argv[1];
-    const std::string target = argv[2];
-
     CrashsimOptions options;
     WorkloadOptions wl_options;
     wl_options.operations = 20;
     bool json = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(exitUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--workers")
-            options.workers = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-pending")
-            options.maxPendingLines =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-images")
-            options.maxImagesPerPoint =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--seed")
-            options.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--flush-points")
-            options.captureAtFlush = true;
-        else if (arg == "--no-epoch-atomic")
-            options.epochAtomic = false;
-        else if (arg == "--ops")
-            wl_options.operations =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--fault")
-            wl_options.faults.enable(next());
-        else if (arg == "--json")
-            json = true;
-        else
-            return usage(argv[0]);
-    }
+    cli::FlagSet flags(argv[0],
+                       {"case <name|all> [options]",
+                        "run <workload> [options]"});
+    flags.option("--workers N", "verification threads (default 1)",
+                 &options.workers)
+        .option("--max-pending K", "pending-line cap per point (default 12)",
+                &options.maxPendingLines)
+        .option("--max-images N", "image cap per point (default 256)",
+                &options.maxImagesPerPoint)
+        .option("--seed S", "exploration seed (default 1)", &options.seed)
+        .flag("--flush-points", "also crash at every CLF",
+              &options.captureAtFlush)
+        .flag("--no-epoch-atomic", "sweep inside transactions too",
+              &options.epochAtomic, false)
+        .option("--ops N", "workload operations (default 20)",
+                &wl_options.operations)
+        .option("--fault NAME", "enable a fault (repeatable)",
+                [&](const std::string &name) {
+                    wl_options.faults.enable(name);
+                    return cli::exitOk;
+                })
+        .flag("--json", "machine-readable result (run mode)", &json);
+    if (const int rc = flags.parse(argc, argv, 3))
+        return rc;
+    const std::string command = argv[1];
+    const std::string target = argv[2];
 
     if (command == "case") {
         int failures = 0;
@@ -218,7 +179,7 @@ main(int argc, char **argv)
             for (const BugCase *bug_case : engineCases())
                 std::fprintf(stderr, " %s", bug_case->name.c_str());
             std::fprintf(stderr, "\n");
-            return exitUnknownName;
+            return cli::exitUnknownName;
         }
         return failures == 0 ? 0 : 1;
     }
@@ -227,39 +188,28 @@ main(int argc, char **argv)
         if (!makeWorkload(target)) {
             std::fprintf(stderr, "unknown workload '%s'\n",
                          target.c_str());
-            return exitUnknownName;
+            return cli::exitUnknownName;
         }
         const CrashsimResult result =
             runCrashsimWorkload(target, wl_options, options);
         if (json) {
-            std::printf(
-                "{\"workload\": \"%s\", \"ops\": %zu, "
-                "\"seed\": %llu, "
-                "\"crash_points\": %llu, "
-                "\"epoch_coalesced_points\": %llu, "
-                "\"truncated_points\": %llu, "
-                "\"pending_lines\": %llu, "
-                "\"images_enumerated\": %llu, "
-                "\"images_deduped\": %llu, "
-                "\"images_verified\": %llu, "
-                "\"findings\": %zu, "
-                "\"explore_seconds\": %.6f}\n",
-                target.c_str(), wl_options.operations,
-                static_cast<unsigned long long>(options.seed),
-                static_cast<unsigned long long>(result.stats.points),
-                static_cast<unsigned long long>(
-                    result.stats.epochCoalescedPoints),
-                static_cast<unsigned long long>(
-                    result.stats.truncatedPoints),
-                static_cast<unsigned long long>(
-                    result.stats.pendingLines),
-                static_cast<unsigned long long>(
-                    result.stats.imagesEnumerated),
-                static_cast<unsigned long long>(
-                    result.stats.imagesDeduped),
-                static_cast<unsigned long long>(
-                    result.stats.imagesVerified),
-                result.findings.size(), result.exploreSeconds);
+            const CrashsimStats &stats = result.stats;
+            JsonWriter out;
+            out.beginObject()
+                .field("workload", target)
+                .field("ops", wl_options.operations)
+                .field("seed", options.seed)
+                .field("crash_points", stats.points)
+                .field("epoch_coalesced_points", stats.epochCoalescedPoints)
+                .field("truncated_points", stats.truncatedPoints)
+                .field("pending_lines", stats.pendingLines)
+                .field("images_enumerated", stats.imagesEnumerated)
+                .field("images_deduped", stats.imagesDeduped)
+                .field("images_verified", stats.imagesVerified)
+                .field("findings", result.findings.size())
+                .field("explore_seconds", result.exploreSeconds)
+                .endObject();
+            std::printf("%s\n", out.str().c_str());
         } else {
             // Echo the schedule seed so a truncated (sampled) run's
             // exact exploration can be reproduced from the report.
@@ -270,10 +220,8 @@ main(int argc, char **argv)
             printFindings(result, "  ");
             printStats(result.stats, result.exploreSeconds, "  ");
         }
-        return result.stats.truncatedPoints > 0
-                   ? exitTruncatedEnumeration
-                   : 0;
+        return result.stats.truncatedPoints > 0 ? cli::exitTruncated : 0;
     }
 
-    return usage(argv[0]);
+    return flags.usage();
 }

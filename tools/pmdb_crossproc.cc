@@ -9,18 +9,13 @@
  * stream can expose.
  *
  * Usage:
- *   pmdb_crossproc [--ops N] [--fault NAME | --case NAME] [--shards N]
- *                  [--seed S] [--dir PATH] [--json]
+ *   pmdb_crossproc [options]
  *   pmdb_crossproc --list-cases
  *   pmdb_crossproc --create-pool PATH [--ops N]
  *
- *   --fault NAME   enable one shared_queue fault on both writers
- *   --case NAME    shorthand for a seeded case from crossprocCases()
- *   --dir PATH     directory for the pool/ring/socket files (default
- *                  /tmp)
- *   --create-pool  just lay out a shared_queue pool file sized for
- *                  --ops operations (for driving the writers by hand
- *                  via pmdb_run --shared-pool) and exit
+ * --create-pool only lays out a shared_queue pool file sized for --ops
+ * operations, for driving the writers by hand via
+ * pmdb_run --shared-pool.
  *
  * Exit codes (shared tool family, see README):
  *   0  run complete, no cross-session bugs
@@ -43,6 +38,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "pmem/shared_device.hh"
 #include "service/daemon.hh"
 #include "service/remote_sink.hh"
@@ -50,22 +47,6 @@
 
 namespace
 {
-
-constexpr int exitInfra = 1;
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-constexpr int exitCrossBugs = 8;
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--ops N] [--fault NAME | --case NAME]\n"
-                 "          [--shards N] [--seed S] [--dir PATH] "
-                 "[--json]\n"
-                 "       %s --list-cases\n",
-                 argv0, argv0);
-}
 
 /**
  * One forked writer: connect to the daemon (retrying while it boots),
@@ -139,52 +120,41 @@ main(int argc, char **argv)
     std::string dir = "/tmp";
     std::string create_pool;
     bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(exitUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list-cases") {
-            for (const CrossprocCase &c : crossprocCases()) {
-                std::printf("%s  (fault %s -> %s)\n", c.name.c_str(),
-                            c.fault.c_str(), c.rule.c_str());
-            }
-            return 0;
+    bool list_cases = false;
+    cli::FlagSet flags(argv[0],
+                       {"[options]", "--list-cases",
+                        "--create-pool PATH [--ops N]"});
+    flags.flag("--list-cases", "print the seeded cases", &list_cases)
+        .option("--ops N", "operations (default 64)", &ops)
+        .option("--seed S", "workload seed (default 42)", &seed)
+        .option("--shards N", "daemon shards (default 4)", &shards)
+        .option("--fault NAME", "shared_queue fault for both writers",
+                &fault)
+        .option("--case NAME", "a seeded case's fault",
+                [&](const std::string &name) {
+                    for (const CrossprocCase &c : crossprocCases()) {
+                        if (c.name == name) {
+                            fault = c.fault;
+                            return cli::exitOk;
+                        }
+                    }
+                    std::fprintf(stderr,
+                                 "unknown case '%s' (--list-cases)\n",
+                                 name.c_str());
+                    return cli::exitUnknownName;
+                })
+        .option("--dir PATH", "pool/ring/socket directory", &dir)
+        .option("--create-pool PATH", "only lay out a pool file",
+                &create_pool)
+        .flag("--json", "print the verdict as JSON", &json);
+    if (const int rc = flags.parse(argc, argv, 1))
+        return rc;
+    if (list_cases) {
+        for (const CrossprocCase &c : crossprocCases()) {
+            std::printf("%s  (fault %s -> %s)\n", c.name.c_str(),
+                        c.fault.c_str(), c.rule.c_str());
         }
-        if (arg == "--ops")
-            ops = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--shards")
-            shards = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--fault")
-            fault = next();
-        else if (arg == "--case") {
-            const std::string name = next();
-            fault.clear();
-            for (const CrossprocCase &c : crossprocCases()) {
-                if (c.name == name)
-                    fault = c.fault;
-            }
-            if (fault.empty()) {
-                std::fprintf(stderr, "unknown case '%s' "
-                             "(--list-cases)\n", name.c_str());
-                return exitUnknownName;
-            }
-        } else if (arg == "--dir")
-            dir = next();
-        else if (arg == "--create-pool")
-            create_pool = next();
-        else if (arg == "--json")
-            json = true;
-        else {
-            usage(argv[0]);
-            return exitUsage;
-        }
+        return 0;
     }
     if (!fault.empty()) {
         bool known = false;
@@ -193,7 +163,7 @@ main(int argc, char **argv)
         if (!known) {
             std::fprintf(stderr, "unknown fault '%s' (--list-cases)\n",
                          fault.c_str());
-            return exitUnknownName;
+            return cli::exitUnknownName;
         }
     }
 
@@ -204,7 +174,7 @@ main(int argc, char **argv)
                 &err)) {
             std::fprintf(stderr, "pool create failed: %s\n",
                          err.c_str());
-            return exitInfra;
+            return cli::exitFailure;
         }
         std::printf("created %s (%zu ops)\n", create_pool.c_str(), ops);
         return 0;
@@ -219,7 +189,7 @@ main(int argc, char **argv)
     if (!SharedPmemPool::createPoolFile(
             pool_path, SharedQueueWorkload::poolBytesFor(ops), &error)) {
         std::fprintf(stderr, "pool create failed: %s\n", error.c_str());
-        return exitInfra;
+        return cli::exitFailure;
     }
 
     // Fork both writers *before* the daemon's threads exist, so the
@@ -233,7 +203,7 @@ main(int argc, char **argv)
         if (pid < 0) {
             std::fprintf(stderr, "fork failed: %s\n",
                          std::strerror(errno));
-            return exitInfra;
+            return cli::exitFailure;
         }
         if (pid == 0) {
             std::_Exit(childMain(socket_path, pool_path, writer, ops,
@@ -250,7 +220,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "daemon start failed: %s\n", error.c_str());
         for (const pid_t pid : children)
             ::kill(pid, SIGKILL);
-        return exitInfra;
+        return cli::exitFailure;
     }
 
     bool childFailed = false;
@@ -270,23 +240,22 @@ main(int argc, char **argv)
     ::unlink(pool_path.c_str());
     if (childFailed) {
         std::fprintf(stderr, "a writer process failed\n");
-        return exitInfra;
+        return cli::exitFailure;
     }
 
     std::size_t crossBugs = 0;
+    for (const auto &group : results)
+        crossBugs += group.bugs.size();
     if (json) {
-        std::string out = "[";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += results[i].toJson();
-            crossBugs += results[i].bugs.size();
-        }
-        out += "]";
-        std::printf("{\"tool\": \"crossproc\", \"ops\": %zu, "
-                    "\"shards\": %zu, \"fault\": \"%s\", "
-                    "\"groups\": %s}\n",
-                    ops, shards, fault.c_str(), out.c_str());
+        JsonWriter out;
+        out.beginObject()
+            .field("tool", "crossproc")
+            .field("ops", ops)
+            .field("shards", shards)
+            .field("fault", fault)
+            .key("groups");
+        writeCrossGroupsJson(out, results);
+        std::printf("%s\n", out.endObject().str().c_str());
     } else {
         std::printf("shared_queue: %zu ops, 2 writers, %zu shard(s)%s%s\n",
                     ops, shards,
@@ -300,10 +269,9 @@ main(int argc, char **argv)
                         group.bugs.size());
             for (const CrossBug &bug : group.bugs)
                 std::printf("  %s\n", bug.toString().c_str());
-            crossBugs += group.bugs.size();
         }
         if (results.empty())
             std::printf("no shared-pool session group formed\n");
     }
-    return crossBugs > 0 ? exitCrossBugs : 0;
+    return crossBugs > 0 ? cli::exitCrossBugs : 0;
 }

@@ -15,23 +15,6 @@
  *       instrumented execution whose own crash points seed the next
  *       round, up to --depth crashes per trajectory.
  *
- * Options:
- *   --ops N            initial-execution operations (default 6)
- *   --recovery-ops N   continuation operations per recovery (default 1)
- *   --depth D          max crashes per trajectory (default 2)
- *   --max-states N     distinct-state budget (default 4096)
- *   --workers N        round workers; results identical for any value
- *   --seed S           workload key-stream seed (default 42)
- *   --fault NAME       enable a fault injection (evaluation workloads)
- *   --no-prune         disable read-set pruning (A/B measurement)
- *   --cache PATH       persist the visited-state cache (resumable)
- *   --connect SOCK     dispatch every execution to a pmdbd daemon
- *   --scratch DIR      where --connect ring files go (default /tmp)
- *   --max-pending K / --max-images N / --flush-points /
- *   --no-epoch-atomic  crashsim enumeration bounds per crash point
- *   --max-findings N   cap on reported findings (default 64)
- *   --json             machine-readable result (run mode)
- *
  * Exit codes: 0 success, 1 a case behaved unexpectedly, 2 usage
  * error, 3 unknown case/workload name, 5 (run mode) the
  * --max-states budget stopped the search before the frontier emptied
@@ -39,37 +22,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "modelcheck/engine.hh"
 #include "workloads/modelcheck_workloads.hh"
 
 namespace
 {
-
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-/** Run-mode: the state budget cut the search short. */
-constexpr int exitBudgetExhausted = 5;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s case <name|all> [options]\n"
-        "       %s run <workload> [options]\n"
-        "options: --ops N --recovery-ops N --depth D --max-states N\n"
-        "         --workers N --seed S --fault NAME --no-prune\n"
-        "         --cache PATH --connect SOCK --scratch DIR\n"
-        "         --max-pending K --max-images N --flush-points\n"
-        "         --no-epoch-atomic --max-findings N --json\n",
-        argv0, argv0);
-    return exitUsage;
-}
 
 void
 printFindings(const pmdb::ModelCheckResult &result, const char *indent)
@@ -196,63 +158,51 @@ main(int argc, char **argv)
 {
     using namespace pmdb;
 
-    if (argc < 3)
-        return usage(argv[0]);
-    const std::string command = argv[1];
-    const std::string target = argv[2];
-
     ModelCheckOptions options;
     options.run.operations = 6;
     bool json = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(exitUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--ops")
-            options.run.operations = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--recovery-ops")
-            options.run.recoveryOperations =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--depth")
-            options.maxDepth = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-states")
-            options.maxStates = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--workers")
-            options.workers = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--seed")
-            options.run.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--fault")
-            options.run.faults.enable(next());
-        else if (arg == "--no-prune")
-            options.prune = false;
-        else if (arg == "--cache")
-            options.cachePath = next();
-        else if (arg == "--connect")
-            options.connectSocket = next();
-        else if (arg == "--scratch")
-            options.scratchDir = next();
-        else if (arg == "--max-pending")
-            options.run.sim.maxPendingLines =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-images")
-            options.run.sim.maxImagesPerPoint =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--flush-points")
-            options.run.sim.captureAtFlush = true;
-        else if (arg == "--no-epoch-atomic")
-            options.run.sim.epochAtomic = false;
-        else if (arg == "--max-findings")
-            options.maxFindings = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            json = true;
-        else
-            return usage(argv[0]);
-    }
+    cli::FlagSet flags(argv[0],
+                       {"case <name|all> [options]",
+                        "run <workload> [options]"});
+    flags.option("--ops N", "initial operations (default 6)",
+                 &options.run.operations)
+        .option("--recovery-ops N", "continuation ops per recovery",
+                &options.run.recoveryOperations)
+        .option("--depth D", "max crashes per trajectory (default 2)",
+                &options.maxDepth)
+        .option("--max-states N", "distinct-state budget (default 4096)",
+                &options.maxStates)
+        .option("--workers N", "round workers", &options.workers)
+        .option("--seed S", "workload seed (default 42)",
+                &options.run.seed)
+        .option("--fault NAME", "enable a fault (repeatable)",
+                [&](const std::string &name) {
+                    options.run.faults.enable(name);
+                    return cli::exitOk;
+                })
+        .flag("--no-prune", "disable read-set pruning", &options.prune,
+              false)
+        .option("--cache PATH", "persistent visited-state cache",
+                &options.cachePath)
+        .option("--connect SOCK", "run executions in the pmdbd at SOCK",
+                &options.connectSocket)
+        .option("--scratch DIR", "--connect ring directory (/tmp)",
+                &options.scratchDir)
+        .option("--max-pending K", "pending-line cap per crash point",
+                &options.run.sim.maxPendingLines)
+        .option("--max-images N", "image cap per crash point",
+                &options.run.sim.maxImagesPerPoint)
+        .flag("--flush-points", "also crash at every CLF",
+              &options.run.sim.captureAtFlush)
+        .flag("--no-epoch-atomic", "sweep inside transactions too",
+              &options.run.sim.epochAtomic, false)
+        .option("--max-findings N", "reported-finding cap (default 64)",
+                &options.maxFindings)
+        .flag("--json", "machine-readable result (run mode)", &json);
+    if (const int rc = flags.parse(argc, argv, 3))
+        return rc;
+    const std::string command = argv[1];
+    const std::string target = argv[2];
 
     if (command == "case") {
         int failures = 0;
@@ -269,7 +219,7 @@ main(int argc, char **argv)
             for (const ModelCheckCase &mc_case : modelcheckOnlyCases())
                 std::fprintf(stderr, " %s", mc_case.name.c_str());
             std::fprintf(stderr, "\n");
-            return exitUnknownName;
+            return cli::exitUnknownName;
         }
         return failures == 0 ? 0 : 1;
     }
@@ -281,7 +231,7 @@ main(int argc, char **argv)
             for (const std::string &known : modelWorkloadNames())
                 std::fprintf(stderr, " %s", known.c_str());
             std::fprintf(stderr, "\n");
-            return exitUnknownName;
+            return cli::exitUnknownName;
         }
         // `run` drives the buggy variant only through --fault; mc_*
         // workloads run their correct recovery here (use `case` for
@@ -289,54 +239,43 @@ main(int argc, char **argv)
         const ModelCheckResult result =
             runSearch(target, false, options);
         if (json) {
-            std::printf(
-                "{\"workload\": \"%s\", \"ops\": %zu, "
-                "\"recovery_ops\": %zu, \"depth\": %zu, "
-                "\"workers\": %zu, \"seed\": %llu, \"prune\": %s, "
-                "\"distinct_states\": %llu, \"executions\": %llu, "
-                "\"crash_points\": %llu, \"candidates\": %llu, "
-                "\"pruned_candidates\": %llu, "
-                "\"deduped_states\": %llu, \"truncated_points\": %llu, "
-                "\"refinements\": %llu, \"rounds\": %llu, "
-                "\"cache_states\": %zu, \"budget_exhausted\": %s, "
-                "\"findings\": %zu, "
-                "\"frontier_hash\": \"%016llx\", "
-                "\"seconds\": %.6f, \"states_per_sec\": %.1f, "
-                "\"connect_sessions\": %llu, "
-                "\"connect_errors\": %llu}\n",
-                target.c_str(), options.run.operations,
-                options.run.recoveryOperations, options.maxDepth,
-                options.workers,
-                static_cast<unsigned long long>(options.run.seed),
-                options.prune ? "true" : "false",
-                static_cast<unsigned long long>(
-                    result.stats.distinctStates),
-                static_cast<unsigned long long>(
-                    result.stats.executions),
-                static_cast<unsigned long long>(
-                    result.stats.crashPoints),
-                static_cast<unsigned long long>(
-                    result.stats.candidates),
-                static_cast<unsigned long long>(
-                    result.stats.prunedCandidates),
-                static_cast<unsigned long long>(
-                    result.stats.dedupedStates),
-                static_cast<unsigned long long>(
-                    result.stats.truncatedPoints),
-                static_cast<unsigned long long>(
-                    result.stats.refinements),
-                static_cast<unsigned long long>(result.stats.rounds),
-                result.cacheStates,
-                result.stats.budgetExhausted ? "true" : "false",
-                result.findings.size(),
-                static_cast<unsigned long long>(result.frontierHash),
-                result.seconds,
-                result.seconds > 0
-                    ? static_cast<double>(result.stats.distinctStates) /
-                          result.seconds
-                    : 0.0,
-                static_cast<unsigned long long>(result.connectSessions),
-                static_cast<unsigned long long>(result.connectErrors));
+            const ModelCheckStats &stats = result.stats;
+            char hash[17];
+            std::snprintf(hash, sizeof(hash), "%016llx",
+                          static_cast<unsigned long long>(
+                              result.frontierHash));
+            JsonWriter out;
+            out.beginObject()
+                .field("workload", target)
+                .field("ops", options.run.operations)
+                .field("recovery_ops", options.run.recoveryOperations)
+                .field("depth", options.maxDepth)
+                .field("workers", options.workers)
+                .field("seed", options.run.seed)
+                .field("prune", options.prune)
+                .field("distinct_states", stats.distinctStates)
+                .field("executions", stats.executions)
+                .field("crash_points", stats.crashPoints)
+                .field("candidates", stats.candidates)
+                .field("pruned_candidates", stats.prunedCandidates)
+                .field("deduped_states", stats.dedupedStates)
+                .field("truncated_points", stats.truncatedPoints)
+                .field("refinements", stats.refinements)
+                .field("rounds", stats.rounds)
+                .field("cache_states", result.cacheStates)
+                .field("budget_exhausted", stats.budgetExhausted)
+                .field("findings", result.findings.size())
+                .field("frontier_hash", hash)
+                .field("seconds", result.seconds)
+                .field("states_per_sec",
+                       result.seconds > 0
+                           ? static_cast<double>(stats.distinctStates) /
+                                 result.seconds
+                           : 0.0)
+                .field("connect_sessions", result.connectSessions)
+                .field("connect_errors", result.connectErrors)
+                .endObject();
+            std::printf("%s\n", out.str().c_str());
         } else {
             std::printf("%s (%zu ops, depth %zu, seed %llu): "
                         "%zu finding(s)\n",
@@ -348,8 +287,8 @@ main(int argc, char **argv)
             printFindings(result, "  ");
             printStats(result, "  ");
         }
-        return result.stats.budgetExhausted ? exitBudgetExhausted : 0;
+        return result.stats.budgetExhausted ? cli::exitTruncated : 0;
     }
 
-    return usage(argv[0]);
+    return flags.usage();
 }

@@ -6,13 +6,9 @@
  * statistics (optionally as JSON).
  *
  * Usage:
- *   pmdb_run <checker> <inputsize> <workload>
- *            [--threads N] [--fault NAME]... [--set-ratio R]
- *            [--trace-out FILE] [--json] [--seed S]
- *            [--connect SOCKET] [--policy block|drop|spill]
- *            [--ring-slots N]
- *            [--shared-pool FILE --writer N]
+ *   pmdb_run <checker> <inputsize> <workload> [options]
  *   pmdb_run --list
+ * (the options are listed by the usage text a bad flag prints).
  *
  * With --connect, detection runs out-of-process: the event stream is
  * shipped to a pmdbd daemon at SOCKET and the daemon's report is
@@ -32,15 +28,13 @@
  *             shared_queue, ycsb_a..ycsb_f
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "common/stopwatch.hh"
 #include "core/report.hh"
 #include "detectors/pmtest.hh"
@@ -52,24 +46,6 @@
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s <checker> <inputsize> <workload>\n"
-                 "          [--threads N] [--fault NAME]... "
-                 "[--set-ratio R]\n"
-                 "          [--trace-out FILE] [--json] [--seed S]\n"
-                 "checkers:",
-                 argv0);
-    for (const std::string &name : pmdb::detectorNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, " none\nworkloads:");
-    for (const std::string &name : pmdb::workloadNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-}
 
 /**
  * Print the registered checker and workload names, one per line,
@@ -95,86 +71,68 @@ main(int argc, char **argv)
 {
     using namespace pmdb;
 
-    if (argc >= 2 && std::strcmp(argv[1], "--list") == 0) {
-        listRegistries();
-        return 0;
-    }
-    if (argc < 4) {
-        usage(argv[0]);
-        return 2;
-    }
-    const std::string checker = argv[1];
-    const std::size_t ops = std::strtoull(argv[2], nullptr, 10);
-    const std::string workload_name = argv[3];
-
+    cli::FlagSet flags(argv[0],
+                       {"<checker> <inputsize> <workload> [options]",
+                        "--list"});
     WorkloadOptions options;
-    options.operations = ops;
     std::string trace_out;
     std::string connect_socket;
     SlowConsumerPolicy policy = SlowConsumerPolicy::Block;
+    // An unchecked value would size a multi-hundred-GB ring mapping.
+    constexpr std::uint32_t maxRingSlots = 1u << 22;
     std::uint32_t ring_slots = 4096;
     bool json = false;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--threads")
-            options.threads = std::atoi(next());
-        else if (arg == "--fault")
-            options.faults.enable(next());
-        else if (arg == "--set-ratio")
-            options.setRatio = std::atof(next());
-        else if (arg == "--seed")
-            options.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--trace-out")
-            trace_out = next();
-        else if (arg == "--connect")
-            connect_socket = next();
-        else if (arg == "--policy") {
-            if (!parseSlowConsumerPolicy(next(), &policy)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--ring-slots") {
-            // atoi would turn "-1" into 4 billion slots and a
-            // multi-hundred-GB ring mapping; validate instead.
-            const char *text = next();
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long value = std::strtoul(text, &end, 10);
-            constexpr unsigned long maxRingSlots = 1ul << 22;
-            if (errno != 0 || end == text || *end != '\0' ||
-                value == 0 || value > maxRingSlots) {
-                std::fprintf(stderr,
-                             "--ring-slots must be 1..%lu, got '%s'\n",
-                             maxRingSlots, text);
-                return 2;
-            }
-            ring_slots = static_cast<std::uint32_t>(value);
-        } else if (arg == "--shared-pool")
-            options.sharedPoolPath = next();
-        else if (arg == "--writer")
-            options.sharedWriter =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr,
-                                                        10));
-        else if (arg == "--json")
-            json = true;
-        else {
-            usage(argv[0]);
-            return 2;
+    bool list = false;
+    flags.option("--threads N", "workload threads", &options.threads)
+        .option("--fault NAME", "enable a fault (repeatable)",
+                [&](const std::string &name) {
+                    options.faults.enable(name);
+                    return cli::exitOk;
+                })
+        .option("--set-ratio R", "memcached set fraction", &options.setRatio)
+        .option("--seed S", "workload seed (default 42)", &options.seed)
+        .option("--trace-out FILE", "record the event trace", &trace_out)
+        .option("--connect SOCKET", "detect in the pmdbd at SOCKET",
+                &connect_socket)
+        .option("--policy block|drop|spill", "slow-consumer policy",
+                [&](const std::string &name) {
+                    return parseSlowConsumerPolicy(name, &policy)
+                               ? cli::exitOk
+                               : cli::exitUsage;
+                })
+        .option("--ring-slots N", "event ring slots", &ring_slots, 1,
+                maxRingSlots)
+        .option("--shared-pool FILE", "map a multi-writer pool file",
+                &options.sharedPoolPath)
+        .option("--writer N", "writer id in the shared pool",
+                &options.sharedWriter)
+        .flag("--json", "print the report as JSON", &json)
+        .flag("--list", "print the checker and workload names", &list);
+    // `--list` stands alone; otherwise three positionals lead.
+    const int first = argc >= 2 && argv[1][0] == '-' ? 1 : 4;
+    if (const int rc = flags.parse(argc, argv, first))
+        return rc;
+    if (first == 4) {
+        if (const int rc = flags.positional("<inputsize>", argv[2],
+                                            &options.operations)) {
+            return rc;
         }
     }
+    if (list) {
+        listRegistries();
+        return 0;
+    }
+    if (first == 1)
+        return flags.usage();
+    const std::string checker = argv[1];
+    const std::string workload_name = argv[3];
+    const std::size_t ops = options.operations;
 
     auto workload = makeWorkload(workload_name);
     if (!workload) {
         std::fprintf(stderr, "unknown workload '%s'\n",
                      workload_name.c_str());
-        return 2;
+        return cli::exitUsage;
     }
 
     PmRuntime runtime;
@@ -184,7 +142,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "--connect runs the daemon's pmdebugger; "
                          "pass 'pmdebugger' as the checker\n");
-            return 2;
+            return cli::exitUsage;
         }
         const std::string base =
             "/tmp/pmdb_client." + std::to_string(::getpid());
@@ -205,7 +163,7 @@ main(int argc, char **argv)
         if (!sink.connect(ropts, &error)) {
             std::fprintf(stderr, "pmdbd connect failed: %s\n",
                          error.c_str());
-            return 1;
+            return cli::exitFailure;
         }
         runtime.attach(&sink);
 
@@ -217,7 +175,7 @@ main(int argc, char **argv)
         if (!sink.finish(&report, &error)) {
             std::fprintf(stderr, "pmdbd session failed: %s\n",
                          error.c_str());
-            return 1;
+            return cli::exitFailure;
         }
         if (json) {
             std::printf("%s\n", report.json.c_str());
@@ -248,7 +206,7 @@ main(int argc, char **argv)
         if (!detector) {
             std::fprintf(stderr, "unknown checker '%s'\n",
                          checker.c_str());
-            return 2;
+            return cli::exitUsage;
         }
         runtime.attach(detector.get());
         if (checker == "pmtest") {
@@ -273,7 +231,7 @@ main(int argc, char **argv)
                             runtime.names(), &error)) {
             std::fprintf(stderr, "trace write failed: %s\n",
                          error.c_str());
-            return 1;
+            return cli::exitFailure;
         }
         std::fprintf(stderr, "trace: %zu events -> %s\n",
                      recorder.events().size(), trace_out.c_str());

@@ -7,24 +7,16 @@
  * per-shard utilization (batches, steals, queue depth), and per-rule-
  * class evaluation-latency histograms (p50/p95/p99).
  *
- * Usage:
- *   pmdb_stat --socket PATH [--once] [--interval SEC]
- *             [--json | --prom]
+ * Usage: pmdb_stat --socket PATH [options]
  *
- *   --socket PATH   the daemon's metrics socket (--metrics-sock).
- *   --once          print one snapshot and exit (default: watch mode,
- *                   refreshing every --interval seconds with rates
- *                   computed from successive snapshots).
- *   --interval SEC  watch-mode refresh period (default 2).
- *   --json          dump the raw JSON snapshot verbatim and exit.
- *   --prom          dump the Prometheus text exposition and exit.
+ * Without --once it watches, refreshing every --interval seconds with
+ * rates computed from successive snapshots.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -32,6 +24,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/cli.hh"
 #include "service/transport.hh"
 #include "telemetry/metrics.hh"
 
@@ -44,15 +37,6 @@ void
 onSignal(int)
 {
     interrupted.store(true);
-}
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s --socket PATH [--once] [--interval SEC] "
-                 "[--json | --prom]\n",
-                 argv0);
 }
 
 /**
@@ -75,9 +59,9 @@ fetch(const std::string &socketPath, const std::string &format,
         ::close(fd);
         return {};
     }
-    char buf[4096];
+    char chunk[4096];
     for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
+        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -88,7 +72,7 @@ fetch(const std::string &socketPath, const std::string &format,
         }
         if (n == 0)
             break;
-        reply.append(buf, static_cast<std::size_t>(n));
+        reply.append(chunk, static_cast<std::size_t>(n));
     }
     ::close(fd);
     return reply;
@@ -265,35 +249,16 @@ main(int argc, char **argv)
     bool rawJson = false;
     bool rawProm = false;
     unsigned intervalSec = 2;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--socket")
-            socketPath = next();
-        else if (arg == "--once")
-            once = true;
-        else if (arg == "--interval")
-            intervalSec = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        else if (arg == "--json")
-            rawJson = true;
-        else if (arg == "--prom")
-            rawProm = true;
-        else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (socketPath.empty() || (rawJson && rawProm)) {
-        usage(argv[0]);
-        return 2;
-    }
+    pmdb::cli::FlagSet flags(argv[0], {"--socket PATH [options]"});
+    flags.option("--socket PATH", "pmdbd's --metrics-sock", &socketPath)
+        .flag("--once", "print one snapshot and exit", &once)
+        .option("--interval SEC", "watch refresh period", &intervalSec)
+        .flag("--json", "dump the raw JSON snapshot", &rawJson)
+        .flag("--prom", "dump the Prometheus exposition", &rawProm);
+    if (const int rc = flags.parse(argc, argv, 1))
+        return rc;
+    if (socketPath.empty() || (rawJson && rawProm))
+        return flags.usage();
     if (intervalSec == 0)
         intervalSec = 1;
 
@@ -306,7 +271,7 @@ main(int argc, char **argv)
             fetch(socketPath, rawProm ? "prom" : "json", &error);
         if (reply.empty()) {
             std::fprintf(stderr, "pmdb_stat: %s\n", error.c_str());
-            return 1;
+            return pmdb::cli::exitFailure;
         }
         std::fwrite(reply.data(), 1, reply.size(), stdout);
         return 0;
@@ -319,7 +284,7 @@ main(int argc, char **argv)
         const std::string reply = fetch(socketPath, "json", &error);
         if (reply.empty()) {
             std::fprintf(stderr, "pmdb_stat: %s\n", error.c_str());
-            return 1;
+            return pmdb::cli::exitFailure;
         }
         pmdb::telemetry::MetricsSnapshot snap;
         if (!pmdb::telemetry::MetricsSnapshot::fromJson(reply, &snap,
@@ -327,7 +292,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "pmdb_stat: malformed snapshot: %s\n",
                          error.c_str());
-            return 1;
+            return pmdb::cli::exitFailure;
         }
         const auto now = std::chrono::steady_clock::now();
         const double dt =

@@ -5,20 +5,17 @@
  * workflow).
  *
  * Usage:
- *   pmdb_trace record <workload> <ops> <out.trc> [--fault NAME]
- *   pmdb_trace record case:<name> <out.trc> [--correct] [--seed N]
- *                     [--threads N] [--ycsb-mix a..f] [--ops N]
- *   pmdb_trace info <file.trc> [--sites]
- *   pmdb_trace charz <file.trc>          # Section 3 characterization
- *   pmdb_trace replay <file.trc> <checker> [--json] [--fingerprints]
- *                     [--case <name>]
- *   pmdb_trace crashsim <file.trc> [--flush-points] [--max-pending K]
- *                       [--max-images N] [--no-epoch-atomic]
- *   pmdb_trace minimize (case:<name> | <in.trc>) <out.trc>
- *                       [--case <name>] [--max-replays N]
- *   pmdb_trace repair   (case:<name> | <in.trc>) <out.trc>
- *                       [--case <name>] [--json]
- *   pmdb_trace gen-fingerprints [<out.inc>]
+ *   pmdb_tracetool record <workload> <ops> <out.trc> [--fault NAME]...
+ *   pmdb_tracetool record case:<name> <out.trc> [options]
+ *   pmdb_tracetool info <file.trc> [--sites]
+ *   pmdb_tracetool charz <file.trc>      # Section 3 characterization
+ *   pmdb_tracetool replay <file.trc> <checker> [options]
+ *   pmdb_tracetool crashsim <file.trc> [options]
+ *   pmdb_tracetool minimize (case:<name> | <in.trc>) <out.trc> [options]
+ *   pmdb_tracetool repair (case:<name> | <in.trc>) <out.trc> [options]
+ *   pmdb_tracetool gen-fingerprints [<out.inc>]
+ *
+ * A command given a bad flag prints its own options.
  *
  * Exit codes: 0 success, 2 usage error, 3 unknown workload/checker/case
  * name, 4 unreadable or corrupt trace file, 5 trace loaded but its
@@ -30,12 +27,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "advise/advise.hh"
 #include "charz/characterize.hh"
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "core/report.hh"
 #include "crashsim/crash_points.hh"
 #include "detectors/registry.hh"
@@ -50,38 +47,25 @@
 namespace
 {
 
-// Exit codes: distinct failures get distinct codes so scripts (and the
-// CI smoke steps) can tell a typo'd name from a damaged trace file from
-// a torn stream tail from a failed repair.
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-constexpr int exitBadTrace = 4;
-constexpr int exitTruncatedTrace = 5;
-constexpr int exitNoRepair = 6;
+using pmdb::cli::exitBadTrace;
+using pmdb::cli::exitNoRepair;
+using pmdb::cli::exitUnknownName;
 
+/** The top-level usage: one synopsis per command. */
 int
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s record <workload> <ops> <out.trc> [--fault NAME]\n"
-        "       %s record case:<name> <out.trc> [--correct] [--seed N]\n"
-        "                [--threads N] [--ycsb-mix a..f] [--ops N]\n"
-        "       %s info <file.trc> [--sites]\n"
-        "       %s charz <file.trc>\n"
-        "       %s replay <file.trc> <checker> [--json] "
-        "[--fingerprints] [--case <name>]\n"
-        "       %s crashsim <file.trc> [--flush-points] "
-        "[--max-pending K]\n"
-        "                [--max-images N] [--no-epoch-atomic]\n"
-        "       %s minimize (case:<name> | <in.trc>) <out.trc> "
-        "[--case <name>]\n"
-        "                [--max-replays N]\n"
-        "       %s repair (case:<name> | <in.trc>) <out.trc> "
-        "[--case <name>] [--json]\n"
-        "       %s gen-fingerprints [<out.inc>]\n",
-        argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-    return exitUsage;
+    return pmdb::cli::FlagSet(
+               argv0,
+               {"record <workload> <ops> <out.trc> [--fault NAME]...",
+                "record case:<name> <out.trc> [options]",
+                "info <file.trc> [--sites]", "charz <file.trc>",
+                "replay <file.trc> <checker> [options]",
+                "crashsim <file.trc> [options]",
+                "minimize (case:<name> | <in.trc>) <out.trc> [options]",
+                "repair (case:<name> | <in.trc>) <out.trc> [options]",
+                "gen-fingerprints [<out.inc>]"})
+        .usage();
 }
 
 /**
@@ -112,15 +96,15 @@ loadTrace(const char *path, pmdb::LoadedTrace *trace,
 }
 
 /**
- * Resolve the (trace, case) pair for minimize/repair: either
- * `case:<name>` (record the suite case in-process) or a trace file
- * plus `--case <name>` for the detector configuration and target.
- * Returns 0 on success, else the exit code.
+ * Resolve the (trace, case, target bug) triple for minimize/repair:
+ * the source is either `case:<name>` (record the suite case
+ * in-process) or a trace file plus `--case <name>` for the detector
+ * configuration and target. Returns 0 on success, else the exit code.
  */
 int
-resolveSource(const char *argv0, const std::string &source,
+resolveTarget(const pmdb::cli::FlagSet &flags, const std::string &source,
               const std::string &case_name, pmdb::LoadedTrace *trace,
-              const pmdb::BugCase **bug_case)
+              const pmdb::BugCase **bug_case, pmdb::BugFingerprint *target)
 {
     using namespace pmdb;
     if (source.rfind("case:", 0) == 0) {
@@ -132,22 +116,26 @@ resolveSource(const char *argv0, const std::string &source,
             return exitUnknownName;
         }
         *trace = recordCaseTrace(**bug_case);
-        return 0;
+    } else if (case_name.empty()) {
+        return flags.fail("a trace-file source needs --case <name> for "
+                          "the detector configuration");
+    } else {
+        *bug_case = findBugCase(case_name);
+        if (!*bug_case) {
+            std::fprintf(stderr, "unknown bug-suite case '%s'\n",
+                         case_name.c_str());
+            return exitUnknownName;
+        }
+        if (!loadTrace(source.c_str(), trace))
+            return exitBadTrace;
     }
-    if (case_name.empty()) {
+    if (!caseTarget(**bug_case, *trace, target)) {
         std::fprintf(stderr,
-                     "a trace-file source needs --case <name> for the "
-                     "detector configuration\n");
-        return usage(argv0);
+                     "case %s: expected bug does not reproduce on this "
+                     "trace (cross-failure bugs need live verifiers)\n",
+                     (*bug_case)->name.c_str());
+        return exitNoRepair;
     }
-    *bug_case = findBugCase(case_name);
-    if (!*bug_case) {
-        std::fprintf(stderr, "unknown bug-suite case '%s'\n",
-                     case_name.c_str());
-        return exitUnknownName;
-    }
-    if (!loadTrace(source.c_str(), trace))
-        return exitBadTrace;
     return 0;
 }
 
@@ -160,38 +148,30 @@ cmdRecord(int argc, char **argv)
 
     const std::string source = argv[2];
     if (source.rfind("case:", 0) == 0) {
+        bool buggy = true;
+        CaseParams params;
+        cli::FlagSet flags(argv[0],
+                           {"record case:<name> <out.trc> [options]"});
+        flags.flag("--correct", "the correct variant", &buggy, false)
+            .option("--seed N", "workload seed", &params.seed)
+            .option("--threads N", "threads", &params.threads)
+            .option("--ycsb-mix a..f", "YCSB mix",
+                    [&](const std::string &mix) {
+                        if (mix.size() != 1 || mix[0] < 'a' ||
+                            mix[0] > 'f') {
+                            return cli::exitUsage;
+                        }
+                        params.ycsbMix = mix[0];
+                        return cli::exitOk;
+                    })
+            .option("--ops N", "operations", &params.operations);
+        if (const int rc = flags.parse(argc, argv, 4))
+            return rc;
         const BugCase *bug_case = findBugCase(source.substr(5));
         if (!bug_case) {
             std::fprintf(stderr, "unknown bug-suite case '%s'\n",
                          source.substr(5).c_str());
             return exitUnknownName;
-        }
-        bool buggy = true;
-        CaseParams params;
-        for (int i = 4; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--correct") {
-                buggy = false;
-            } else if (arg == "--seed" && i + 1 < argc) {
-                params.seed = std::strtoull(argv[++i], nullptr, 10);
-            } else if (arg == "--threads" && i + 1 < argc) {
-                params.threads =
-                    static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-            } else if (arg == "--ops" && i + 1 < argc) {
-                params.operations =
-                    std::strtoull(argv[++i], nullptr, 10);
-            } else if (arg == "--ycsb-mix" && i + 1 < argc) {
-                const char *mix = argv[++i];
-                if (mix[0] < 'a' || mix[0] > 'f' || mix[1]) {
-                    std::fprintf(stderr, "bad YCSB mix '%s'\n", mix);
-                    return usage(argv[0]);
-                }
-                params.ycsbMix = mix[0];
-            } else {
-                std::fprintf(stderr, "unknown option '%s'\n",
-                             arg.c_str());
-                return usage(argv[0]);
-            }
         }
         const LoadedTrace trace =
             recordCaseTrace(*bug_case, buggy, &params);
@@ -207,18 +187,24 @@ cmdRecord(int argc, char **argv)
         return 0;
     }
 
-    if (argc < 5)
-        return usage(argv[0]);
+    WorkloadOptions options;
+    cli::FlagSet flags(argv[0],
+                       {"record <workload> <ops> <out.trc> [options]"});
+    flags.option("--fault NAME", "enable a fault (repeatable)",
+                 [&](const std::string &name) {
+                     options.faults.enable(name);
+                     return cli::exitOk;
+                 });
+    if (const int rc = flags.parse(argc, argv, 5))
+        return rc;
+    if (const int rc =
+            flags.positional("<ops>", argv[3], &options.operations)) {
+        return rc;
+    }
     auto workload = makeWorkload(argv[2]);
     if (!workload) {
         std::fprintf(stderr, "unknown workload '%s'\n", argv[2]);
         return exitUnknownName;
-    }
-    WorkloadOptions options;
-    options.operations = std::strtoull(argv[3], nullptr, 10);
-    for (int i = 5; i + 1 < argc; i += 2) {
-        if (std::string(argv[i]) == "--fault")
-            options.faults.enable(argv[i + 1]);
     }
 
     PmRuntime runtime;
@@ -241,17 +227,11 @@ int
 cmdInfo(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 3)
-        return usage(argv[0]);
     bool sites = false;
-    for (int i = 3; i < argc; ++i) {
-        if (std::string(argv[i]) == "--sites") {
-            sites = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            return usage(argv[0]);
-        }
-    }
+    cli::FlagSet flags(argv[0], {"info <file.trc> [--sites]"});
+    flags.flag("--sites", "list program sites and event counts", &sites);
+    if (const int rc = flags.parse(argc, argv, 3))
+        return rc;
     LoadedTrace trace;
     bool truncated = false;
     if (!loadTrace(argv[2], &trace, &truncated))
@@ -303,7 +283,7 @@ cmdInfo(int argc, char **argv)
                      "%s: stream trace truncated mid-record; the "
                      "counts above cover the recovered prefix\n",
                      argv[2]);
-        return exitTruncatedTrace;
+        return cli::exitTruncated;
     }
     return 0;
 }
@@ -312,8 +292,9 @@ int
 cmdCharz(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 3)
-        return usage(argv[0]);
+    cli::FlagSet flags(argv[0], {"charz <file.trc>"});
+    if (const int rc = flags.parse(argc, argv, 3))
+        return rc;
     LoadedTrace trace;
     if (!loadTrace(argv[2], &trace))
         return exitBadTrace;
@@ -326,34 +307,31 @@ int
 cmdReplay(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
+    bool json = false;
+    bool fingerprints = false;
+    std::string case_name;
+    cli::FlagSet flags(argv[0], {"replay <file.trc> <checker> [options]"});
+    flags.flag("--json", "print the report as JSON", &json)
+        .flag("--fingerprints", "print bug fingerprints", &fingerprints)
+        .option("--case NAME", "use the case's detector configuration",
+                &case_name);
+    if (const int rc = flags.parse(argc, argv, 4))
+        return rc;
     LoadedTrace trace;
     if (!loadTrace(argv[2], &trace))
         return exitBadTrace;
 
-    bool json = false;
-    bool fingerprints = false;
     DebuggerConfig config;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "--fingerprints") {
-            fingerprints = true;
-        } else if (arg == "--case" && i + 1 < argc) {
-            // Replay under the detector configuration the suite would
-            // drive this case with (model + order spec) — required for
-            // the ordering rules to see anything.
-            const BugCase *bug_case = findBugCase(argv[++i]);
-            if (!bug_case) {
-                std::fprintf(stderr, "unknown case '%s'\n", argv[i]);
-                return exitUnknownName;
-            }
-            config = debuggerConfigFor(*bug_case);
-        } else {
-            return usage(argv[0]);
+    if (!case_name.empty()) {
+        // The model + order spec the suite drives this case with —
+        // required for the ordering rules to see anything.
+        const BugCase *bug_case = findBugCase(case_name);
+        if (!bug_case) {
+            std::fprintf(stderr, "unknown case '%s'\n",
+                         case_name.c_str());
+            return exitUnknownName;
         }
+        config = debuggerConfigFor(*bug_case);
     }
 
     auto detector = makeDetector(argv[3], config);
@@ -381,30 +359,21 @@ int
 cmdCrashsim(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 3)
-        return usage(argv[0]);
+    CrashsimOptions options;
+    cli::FlagSet flags(argv[0], {"crashsim <file.trc> [options]"});
+    flags.flag("--flush-points", "also crash at every CLF",
+               &options.captureAtFlush)
+        .option("--max-pending K", "pending-line cap per point",
+                &options.maxPendingLines)
+        .option("--max-images N", "image cap per point",
+                &options.maxImagesPerPoint)
+        .flag("--no-epoch-atomic", "sweep inside transactions too",
+              &options.epochAtomic, false);
+    if (const int rc = flags.parse(argc, argv, 3))
+        return rc;
     LoadedTrace trace;
     if (!loadTrace(argv[2], &trace))
         return exitBadTrace;
-
-    CrashsimOptions options;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--flush-points") {
-            options.captureAtFlush = true;
-        } else if (arg == "--no-epoch-atomic") {
-            options.epochAtomic = false;
-        } else if (arg == "--max-pending" && i + 1 < argc) {
-            options.maxPendingLines =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--max-images" && i + 1 < argc) {
-            options.maxImagesPerPoint =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
 
     const CrashScanSummary summary =
         scanCrashPoints(trace.events, options);
@@ -419,36 +388,21 @@ int
 cmdMinimize(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
     std::string case_name;
     MinimizeOptions options;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--case" && i + 1 < argc) {
-            case_name = argv[++i];
-        } else if (arg == "--max-replays" && i + 1 < argc) {
-            options.maxReplays = std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
+    cli::FlagSet flags(
+        argv[0], {"minimize (case:<name> | <in.trc>) <out.trc> [options]"});
+    flags.option("--case NAME", "case of a trace-file source", &case_name)
+        .option("--max-replays N", "oracle replay cap", &options.maxReplays);
+    if (const int rc = flags.parse(argc, argv, 4))
+        return rc;
 
     LoadedTrace trace;
     const BugCase *bug_case = nullptr;
-    if (const int rc = resolveSource(argv[0], argv[2], case_name, &trace,
-                                     &bug_case)) {
-        return rc;
-    }
-
     BugFingerprint target;
-    if (!caseTarget(*bug_case, trace, &target)) {
-        std::fprintf(stderr,
-                     "case %s: expected bug does not reproduce on this "
-                     "trace (cross-failure bugs need live verifiers)\n",
-                     bug_case->name.c_str());
-        return exitNoRepair;
+    if (const int rc = resolveTarget(flags, argv[2], case_name, &trace,
+                                     &bug_case, &target)) {
+        return rc;
     }
 
     const MinimizeResult result = minimizeWitness(
@@ -476,40 +430,68 @@ cmdMinimize(int argc, char **argv)
     return 0;
 }
 
+/**
+ * The machine-readable repair result: one record per edit, with the
+ * same program-site attribution the advisory engine clusters on.
+ */
+std::string
+repairJson(const pmdb::BugCase &bug_case,
+           const pmdb::BugFingerprint &target,
+           const pmdb::RepairResult &result, const pmdb::NameTable &names)
+{
+    using namespace pmdb;
+    JsonWriter out;
+    out.beginObject()
+        .field("case", bug_case.name)
+        .field("target", target.toString())
+        .field("verified", result.verified);
+    if (!result.verified) {
+        return out.field("candidates", result.candidatesTried)
+            .field("replays", result.replays)
+            .endObject()
+            .str();
+    }
+    out.field("strategy", result.patch.strategy)
+        .field("candidates", result.candidatesTried)
+        .field("replays", result.replays)
+        .key("edits")
+        .beginArray();
+    for (const TraceEdit &edit : result.patch.edits) {
+        std::string site;
+        if (edit.siteId != noName && edit.siteId < names.size())
+            site = names.name(edit.siteId);
+        out.beginObject()
+            .field("op", edit.op == TraceEdit::Op::Insert ? "insert"
+                                                          : "delete")
+            .field("event", toString(edit.event.kind))
+            .field("rule", toString(edit.rule))
+            .field("site", site)
+            .field("anchor_seq", edit.anchorSeq)
+            .field("note", edit.note)
+            .endObject();
+    }
+    return out.endArray().endObject().str();
+}
+
 int
 cmdRepair(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
     std::string case_name;
     bool json = false;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--case" && i + 1 < argc) {
-            case_name = argv[++i];
-        } else if (arg == "--json") {
-            json = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
+    cli::FlagSet flags(
+        argv[0], {"repair (case:<name> | <in.trc>) <out.trc> [options]"});
+    flags.option("--case NAME", "case of a trace-file source", &case_name)
+        .flag("--json", "print the patch as JSON", &json);
+    if (const int rc = flags.parse(argc, argv, 4))
+        return rc;
 
     LoadedTrace trace;
     const BugCase *bug_case = nullptr;
-    if (const int rc = resolveSource(argv[0], argv[2], case_name, &trace,
-                                     &bug_case)) {
-        return rc;
-    }
-
     BugFingerprint target;
-    if (!caseTarget(*bug_case, trace, &target)) {
-        std::fprintf(stderr,
-                     "case %s: expected bug does not reproduce on this "
-                     "trace (cross-failure bugs need live verifiers)\n",
-                     bug_case->name.c_str());
-        return exitNoRepair;
+    if (const int rc = resolveTarget(flags, argv[2], case_name, &trace,
+                                     &bug_case, &target)) {
+        return rc;
     }
 
     const RepairResult result =
@@ -518,13 +500,9 @@ cmdRepair(int argc, char **argv)
         std::printf("target     %s\n", target.toString().c_str());
     if (!result.verified) {
         if (json) {
-            std::printf("{\"case\": \"%s\", \"target\": \"%s\", "
-                        "\"verified\": false, \"candidates\": %zu, "
-                        "\"replays\": %llu}\n",
-                        jsonEscape(bug_case->name).c_str(),
-                        jsonEscape(target.toString()).c_str(),
-                        result.candidatesTried,
-                        static_cast<unsigned long long>(result.replays));
+            std::printf("%s\n", repairJson(*bug_case, target, result,
+                                           trace.names)
+                                    .c_str());
         }
         std::fprintf(stderr,
                      "no verified repair for %s (%zu candidates, %llu "
@@ -541,34 +519,9 @@ cmdRepair(int argc, char **argv)
         return exitBadTrace;
     }
     if (json) {
-        // Machine-readable patch: one record per edit with the same
-        // program-site attribution the advisory engine clusters on.
-        std::printf("{\n  \"case\": \"%s\",\n  \"target\": \"%s\",\n"
-                    "  \"verified\": true,\n  \"strategy\": \"%s\",\n"
-                    "  \"candidates\": %zu,\n  \"replays\": %llu,\n"
-                    "  \"edits\": [",
-                    jsonEscape(bug_case->name).c_str(),
-                    jsonEscape(target.toString()).c_str(),
-                    jsonEscape(result.patch.strategy).c_str(),
-                    result.candidatesTried,
-                    static_cast<unsigned long long>(result.replays));
-        for (std::size_t i = 0; i < result.patch.edits.size(); ++i) {
-            const TraceEdit &edit = result.patch.edits[i];
-            const bool insert = edit.op == TraceEdit::Op::Insert;
-            std::string site = "";
-            if (edit.siteId != noName && edit.siteId < trace.names.size())
-                site = trace.names.name(edit.siteId);
-            std::printf("%s\n    {\"op\": \"%s\", \"event\": \"%s\", "
-                        "\"rule\": \"%s\", \"site\": \"%s\", "
-                        "\"anchor_seq\": %llu, \"note\": \"%s\"}",
-                        i ? "," : "", insert ? "insert" : "delete",
-                        toString(edit.event.kind),
-                        toString(edit.rule), jsonEscape(site).c_str(),
-                        static_cast<unsigned long long>(edit.anchorSeq),
-                        jsonEscape(edit.note).c_str());
-        }
-        std::printf("%s\n}\n",
-                    result.patch.edits.empty() ? "]" : "\n  ]");
+        std::printf("%s\n",
+                    repairJson(*bug_case, target, result, trace.names)
+                        .c_str());
     } else {
         for (const std::string &line : result.advisory)
             std::printf("advisory   %s\n", line.c_str());
@@ -585,6 +538,9 @@ int
 cmdGenFingerprints(int argc, char **argv)
 {
     using namespace pmdb;
+    cli::FlagSet flags(argv[0], {"gen-fingerprints [<out.inc>]"});
+    if (const int rc = flags.parse(argc, argv, argc > 2 ? 3 : 2))
+        return rc;
     std::FILE *out = stdout;
     if (argc > 2) {
         out = std::fopen(argv[2], "w");

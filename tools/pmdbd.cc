@@ -6,37 +6,24 @@
  * src/service/), runs each through the sharded detector pool, and
  * replies to every client with its merged bug report.
  *
- * Usage:
- *   pmdbd --socket PATH [--shards N] [--stripe-bytes B]
- *         [--array-capacity N] [--pollers N] [--pin-cores]
- *         [--once N] [--json] [--metrics-sock PATH]
- *         [--stats-interval SEC] [--trace-out FILE]
+ * Usage: pmdbd --socket PATH [options]
  *
- *   --pollers N         ring-poller threads multiplexing client rings.
- *   --pin-cores         pin pollers + shard workers to distinct cores.
- *   --once N            exit after N sessions complete (CI smoke
- *                       tests); without it, run until SIGINT/SIGTERM.
- *   --json              print the aggregated per-session report on
- *                       exit, including ingest counters (batches
- *                       drained, events/s, steals, queue-full stalls,
- *                       idle-poll ratio) and the live metrics snapshot.
- *   --metrics-sock PATH serve live metrics snapshots on a second Unix
- *                       socket; clients send "json" or "prom" and get
- *                       one snapshot back (see tools/pmdb_stat).
- *   --stats-interval S  log a one-line ingest summary every S seconds.
- *   --trace-out FILE    enable pipeline span tracing and write a
- *                       Chrome/Perfetto trace-event JSON on exit.
+ * Without --once it runs until SIGINT/SIGTERM. --json prints the
+ * aggregated per-session report on exit, including ingest counters
+ * (batches drained, events/s, steals, queue-full stalls, idle-poll
+ * ratio) and the live metrics snapshot. --metrics-sock serves live
+ * snapshots: clients send "json" or "prom" and get one snapshot back
+ * (see tools/pmdb_stat).
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/cli.hh"
 #include "service/daemon.hh"
 
 namespace
@@ -50,19 +37,6 @@ onSignal(int)
     interrupted.store(true);
 }
 
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s --socket PATH [--shards N] "
-                 "[--stripe-bytes B]\n"
-                 "          [--array-capacity N] [--pollers N] "
-                 "[--pin-cores] [--once N] [--json]\n"
-                 "          [--metrics-sock PATH] "
-                 "[--stats-interval SEC] [--trace-out FILE]\n",
-                 argv0);
-}
-
 } // namespace
 
 int
@@ -73,50 +47,28 @@ main(int argc, char **argv)
     ServiceConfig config;
     long once = -1;
     bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--socket")
-            config.socketPath = next();
-        else if (arg == "--shards")
-            config.pool.shards =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--stripe-bytes")
-            config.pool.stripeBytes =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--array-capacity")
-            config.pool.arrayCapacity =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--pollers")
-            config.pollers = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--pin-cores")
-            config.pinCores = true;
-        else if (arg == "--metrics-sock")
-            config.metricsSocketPath = next();
-        else if (arg == "--stats-interval")
-            config.statsIntervalSec = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        else if (arg == "--trace-out")
-            config.traceOutPath = next();
-        else if (arg == "--once")
-            once = std::strtol(next(), nullptr, 10);
-        else if (arg == "--json")
-            json = true;
-        else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (config.socketPath.empty()) {
-        usage(argv[0]);
-        return 2;
-    }
+    cli::FlagSet flags(argv[0], {"--socket PATH [options]"});
+    flags.option("--socket PATH", "control socket", &config.socketPath)
+        .option("--shards N", "detector shards", &config.pool.shards)
+        .option("--stripe-bytes B", "address stripe per shard",
+                &config.pool.stripeBytes)
+        .option("--array-capacity N", "per-shard location-array capacity",
+                &config.pool.arrayCapacity)
+        .option("--pollers N", "ring-poller threads", &config.pollers)
+        .flag("--pin-cores", "pin threads to distinct cores",
+              &config.pinCores)
+        .option("--metrics-sock PATH", "serve live metrics snapshots",
+                &config.metricsSocketPath)
+        .option("--stats-interval SEC", "log an ingest summary line",
+                &config.statsIntervalSec)
+        .option("--trace-out FILE", "write a Chrome trace on exit",
+                &config.traceOutPath)
+        .option("--once N", "exit after N sessions complete", &once)
+        .flag("--json", "print the aggregated report on exit", &json);
+    if (const int rc = flags.parse(argc, argv, 1))
+        return rc;
+    if (config.socketPath.empty())
+        return flags.usage();
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
@@ -125,7 +77,7 @@ main(int argc, char **argv)
     std::string error;
     if (!daemon.start(&error)) {
         std::fprintf(stderr, "pmdbd: %s\n", error.c_str());
-        return 1;
+        return cli::exitFailure;
     }
     std::fprintf(stderr,
                  "pmdbd: listening on %s (%zu shards, %zu pollers%s)\n",
