@@ -11,6 +11,17 @@
  * (Pattern 2), and a fence invalidates all-flushed intervals
  * collectively without visiting their records (Pattern 1). Records that
  * survive a fence are re-distributed into the AVL tree.
+ *
+ * Any other flush visits the records of each interval it overlaps
+ * (§4.3). On short lists that is the paper's linear scan. Once a fence
+ * interval holds more than kIndexedIntervals intervals, or one interval
+ * more than kIndexedRecords records, the flush finds its candidates
+ * through a sorted address index instead (a memcpy_persist-shaped value
+ * is one interval of thousands of records, each line flush touching
+ * four). The index is split by width class, so one wide interval or
+ * record does not turn every query back into a scan. Candidates are
+ * visited in array order, so every outcome, state, split and counter is
+ * the one the linear scan produces.
  */
 
 #ifndef PMDB_CORE_MEM_ARRAY_HH
@@ -46,6 +57,17 @@ struct ClfIntervalMeta
     /** Min/max address range of the records collected in the interval. */
     AddrRange bounds;
     IntervalFlushState state = IntervalFlushState::NotFlushed;
+    /** The record keys in [startIdx, endIdx) are built (long intervals). */
+    bool indexed = false;
+    /**
+     * Records still NotFlushed. Set when the interval first leaves
+     * NotFlushed (no record has flipped before then) and decremented
+     * per record a flush covers, so the state after a flush needs no
+     * rescan of the interval.
+     */
+    std::uint32_t unflushed = 0;
+    /** Width classes of the records (if indexed), one bit each. */
+    std::uint64_t recordClasses = 0;
 
     bool empty() const { return endIdx <= startIdx; }
 };
@@ -97,12 +119,21 @@ class MemoryLocationArray
     std::size_t capacity() const { return capacity_; }
 
     /**
-     * Append a store record to the current CLF interval (§4.2).
-     * Returns false when the array is full: the caller then tracks the
-     * record in the AVL tree instead. Defined inline — this is the
-     * single hottest call of the whole detector (one per store), and
-     * the batched dispatch path relies on it inlining into the
-     * store-run loop.
+     * Interval count past which a flush finds intervals by address, and
+     * record count past which it finds an interval's records by address.
+     * Below about 32-64 entries the scan is the cheaper of the two (see
+     * DESIGN.md §5).
+     */
+    static constexpr std::size_t kIndexedIntervals = 64;
+    static constexpr std::uint32_t kIndexedRecords = 64;
+
+    /**
+     * Append a store record, NotFlushed, to the current CLF interval
+     * (§4.2). Returns false when the array is full: the caller then
+     * tracks the record in the AVL tree instead. Defined inline — this
+     * is the single hottest call of the whole detector (one per
+     * store), and the batched dispatch path relies on it inlining into
+     * the store-run loop.
      */
     bool
     append(const LocationRecord &record)
@@ -222,11 +253,87 @@ class MemoryLocationArray
     void noteOverflow() { ++stats_.overflowStores; }
 
   private:
+    /**
+     * An index entry: a record's or an interval's width class and start
+     * address. Keys sort by class, then start, so that each class is a
+     * run sorted by address.
+     */
+    struct AddrKey
+    {
+        Addr start;
+        std::uint32_t idx;
+        std::uint8_t cls;
+
+        bool
+        operator<(const AddrKey &other) const
+        {
+            if (cls != other.cls)
+                return cls < other.cls;
+            return start != other.start ? start < other.start
+                                        : idx < other.idx;
+        }
+    };
+
+    /** Call @p visit with the index of every key in sorted [first,
+     * last) whose range may overlap @p range (a superset of those that
+     * do); @p classes has a bit per width class present. */
+    template <typename Visit>
+    static void forEachCandidate(const AddrKey *first, const AddrKey *last,
+                                 std::uint64_t classes,
+                                 const AddrRange &range, Visit visit);
+
     FlushState effectiveState(std::uint32_t idx,
                               const ClfIntervalMeta &meta) const;
 
+    /** Apply the flush to one interval whose bounds it overlaps (the
+     * body of §4.3). */
+    void flushInterval(ClfIntervalMeta &meta, const AddrRange &range,
+                       AvlTree &tree, FlushOutcome &outcome);
+
+    /** Flush the records of @p meta at @p candidates (ascending
+     * indices, a superset of the hits); true if one was split. */
+    template <typename Indices>
+    bool flushRecords(ClfIntervalMeta &meta, const Indices &candidates,
+                      const AddrRange &range, AvlTree &tree,
+                      FlushOutcome &outcome);
+
+    /** Sort the records of @p meta into recordKeys_ by width class and
+     * address. */
+    void indexRecords(ClfIntervalMeta &meta);
+
+    /** Fill recordHits_ with the records of indexed @p meta that
+     * overlap @p range, in ascending order. */
+    void findRecords(const ClfIntervalMeta &meta, const AddrRange &range);
+
+    /** Fill intervalHits_ with the intervals whose bounds overlap
+     * @p range, in ascending order; the open one is tested directly. */
+    void findIntervals(const AddrRange &range);
+
+    /** Drop both indexes (the storage is kept for reuse). */
+    void resetIndexes();
+
     std::vector<LocationRecord> records_;
     std::vector<ClfIntervalMeta> intervals_;
+    /**
+     * Per indexed interval, its records' keys sorted by width class and
+     * address, stored at the interval's own span [startIdx, endIdx). An
+     * interval is closed by its first scan, so its key set never
+     * changes; splits only shrink a record, so a key's start and class
+     * still bound the bytes the record holds.
+     */
+    std::vector<AddrKey> recordKeys_;
+    /** Closed intervals' bounds sorted by class and start, and the
+     * classes present. */
+    std::vector<AddrKey> intervalKeys_;
+    std::uint64_t intervalClasses_ = 0;
+    /** intervalKeys_[0, sortedKeys_) is sorted; the rest is a short
+     * unsorted tail, merged in once it outgrows kIndexedIntervals. */
+    std::size_t sortedKeys_ = 0;
+    /** Intervals [0, keyedIntervals_) are in intervalKeys_. */
+    std::uint32_t keyedIntervals_ = 0;
+    /** Scratch candidate lists, reused across flushes. */
+    std::vector<std::uint32_t> intervalHits_;
+    std::vector<std::uint32_t> recordHits_;
     std::size_t capacity_;
     std::uint32_t size_ = 0;
     /** Whether stores extend the last interval or must start a new one. */

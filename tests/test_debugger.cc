@@ -179,25 +179,29 @@ INSTANTIATE_TEST_SUITE_P(Modes, BookkeepingModeTest,
                                            BookkeepingMode::ArrayOnly));
 
 /**
- * Property test: random store/flush/fence streams; the debugger's
- * durability verdict at program end must match a byte-level reference
- * tracker. Parameterized over seeds and bookkeeping modes.
+ * Drive a random store/flush/fence stream through a PmDebugger and
+ * check its durability verdict at program end against a byte-level
+ * reference tracker.
+ *
+ * The short shape forces the overflow and merge paths (a 32-record
+ * array, a fence every ~10 steps). The long shape has the default
+ * capacity and a fence every ~5000 events, with memcpy-shaped runs of
+ * 16-byte stores flushed line by line, multi-line and unaligned
+ * sub-line flushes: fence intervals long enough for the array to find
+ * its flush candidates through its address indexes.
  */
-class DebuggerPropertyTest
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
-                                                 BookkeepingMode>>
+void
+checkAgainstReference(std::uint64_t seed, BookkeepingMode mode,
+                      bool long_intervals)
 {
-};
-
-TEST_P(DebuggerPropertyTest, EndStateMatchesReferenceTracker)
-{
-    const auto [seed, mode] = GetParam();
     Rng rng(seed);
 
     DebuggerConfig config;
     config.bookkeeping = mode;
-    config.arrayCapacity = 32; // force overflow paths
-    config.mergeThreshold = 8; // force merge paths
+    if (!long_intervals) {
+        config.arrayCapacity = 32; // force overflow paths
+        config.mergeThreshold = 8; // force merge paths
+    }
     config.detectRedundantFlush = false;
     config.detectFlushNothing = false;
     PmRuntime runtime;
@@ -205,31 +209,77 @@ TEST_P(DebuggerPropertyTest, EndStateMatchesReferenceTracker)
     runtime.attach(&debugger);
 
     // Reference: per-byte state 0=clean, 1=dirty, 2=flushed.
-    constexpr std::size_t space = 1 << 10;
+    const std::size_t space = long_intervals ? 1 << 14 : 1 << 10;
     std::vector<int> state(space, 0);
+    const auto store = [&](Addr addr, std::uint32_t size) {
+        runtime.store(addr, size);
+        for (Addr a = addr; a < addr + size; ++a)
+            state[a] = 1;
+    };
+    const auto flush = [&](Addr addr, std::uint32_t size) {
+        runtime.flush(addr, size);
+        for (Addr a = addr; a < addr + size; ++a) {
+            if (state[a] == 1)
+                state[a] = 2;
+        }
+    };
+    const auto fence = [&] {
+        runtime.fence();
+        for (auto &s : state) {
+            if (s == 2)
+                s = 0;
+        }
+    };
 
-    for (int step = 0; step < 3000; ++step) {
-        const int action = static_cast<int>(rng.nextBounded(100));
-        if (action < 60) {
-            const Addr addr = rng.nextBounded(space - 16);
-            const std::uint32_t size =
-                1 + static_cast<std::uint32_t>(rng.nextBounded(16));
-            runtime.store(addr, size);
-            for (Addr a = addr; a < addr + size; ++a)
-                state[a] = 1;
-        } else if (action < 90) {
-            const Addr line = rng.nextBounded(space / 64) * 64;
-            runtime.flush(line, 64);
-            for (Addr a = line; a < line + 64; ++a) {
-                if (state[a] == 1)
-                    state[a] = 2;
+    if (!long_intervals) {
+        for (int step = 0; step < 3000; ++step) {
+            const int action = static_cast<int>(rng.nextBounded(100));
+            if (action < 60) {
+                const Addr addr = rng.nextBounded(space - 16);
+                store(addr, 1 + static_cast<std::uint32_t>(
+                                    rng.nextBounded(16)));
+            } else if (action < 90) {
+                flush(rng.nextBounded(space / 64) * 64, 64);
+            } else {
+                fence();
             }
-        } else {
-            runtime.fence();
-            for (auto &s : state) {
-                if (s == 2)
-                    s = 0;
+        }
+    } else {
+        Addr run_base = 0, run_lines = 0, flush_cursor = 0;
+        std::uint64_t events = 0, next_fence = 2500 + rng.nextBounded(5000);
+        while (events < 40000) {
+            if (events >= next_fence) {
+                fence();
+                next_fence = events + 2500 + rng.nextBounded(5000);
             }
+            const int action = static_cast<int>(rng.nextBounded(100));
+            if (action < 8) {
+                run_lines = 1 + rng.nextBounded(64);
+                run_base = rng.nextBounded(space / 64 - run_lines) * 64;
+                flush_cursor = 0;
+                for (Addr off = 0; off < run_lines * 64; off += 16)
+                    store(run_base + off, 16);
+                events += run_lines * 4;
+                continue;
+            }
+            if (action < 50) {
+                const Addr addr = rng.nextBounded(space - 16);
+                store(addr, 1 + static_cast<std::uint32_t>(
+                                    rng.nextBounded(16)));
+            } else if (action < 70 && flush_cursor < run_lines) {
+                flush(run_base + 64 * flush_cursor++, 64);
+            } else if (action < 85) {
+                flush(rng.nextBounded(space / 64) * 64, 64);
+            } else if (action < 92) {
+                const Addr lines = 2 + rng.nextBounded(7);
+                flush(rng.nextBounded(space / 64 - lines) * 64,
+                      static_cast<std::uint32_t>(lines * 64));
+            } else {
+                const Addr addr = rng.nextBounded(space - 64);
+                flush(addr, 1 + static_cast<std::uint32_t>(
+                                    rng.nextBounded(63)));
+            }
+            ++events;
         }
     }
     runtime.programEnd();
@@ -250,11 +300,41 @@ TEST_P(DebuggerPropertyTest, EndStateMatchesReferenceTracker)
     EXPECT_EQ(reported, expected);
 }
 
+/** Property test over seeds and bookkeeping modes (short intervals). */
+class DebuggerPropertyTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
+                                                 BookkeepingMode>>
+{
+};
+
+TEST_P(DebuggerPropertyTest, EndStateMatchesReferenceTracker)
+{
+    const auto [seed, mode] = GetParam();
+    checkAgainstReference(seed, mode, /*long_intervals=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndModes, DebuggerPropertyTest,
     ::testing::Combine(::testing::Values(3, 17, 99, 256, 1024),
                        ::testing::Values(BookkeepingMode::Hybrid,
                                          BookkeepingMode::TreeOnly)));
+
+/** The same property over long fence intervals, in the array modes. */
+class LongIntervalPropertyTest : public DebuggerPropertyTest
+{
+};
+
+TEST_P(LongIntervalPropertyTest, EndStateMatchesReferenceTracker)
+{
+    const auto [seed, mode] = GetParam();
+    checkAgainstReference(seed, mode, /*long_intervals=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LongFenceIntervals, LongIntervalPropertyTest,
+    ::testing::Combine(::testing::Values(3, 17, 99, 256, 1024),
+                       ::testing::Values(BookkeepingMode::Hybrid,
+                                         BookkeepingMode::ArrayOnly)));
 
 } // namespace
 } // namespace pmdb
