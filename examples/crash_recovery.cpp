@@ -53,7 +53,7 @@ main()
             }
             return "";
         },
-        {.seq = runtime.eventCount(), .policy = CrashPolicy::DropPending});
+        {.seq = runtime.eventCount()});
     std::printf("Cross-failure check: %s\n",
                 found ? "INCONSISTENT (bug reported)" : "consistent");
 

@@ -147,32 +147,11 @@ overlapVisit(NodeT *node, const AddrRange &range, Fn &&fn)
 
 } // namespace
 
-void
-AvlTree::forEachOverlap(
-    const AddrRange &range,
-    const std::function<void(const LocationRecord &)> &visit) const
-{
-    overlapVisit(root_, range,
-                 [&](const Node *node) { visit(node->rec); });
-}
-
 bool
 AvlTree::overlapsAny(const AddrRange &range) const
 {
     bool found = false;
     overlapVisit(root_, range, [&](const Node *) { found = true; });
-    return found;
-}
-
-bool
-AvlTree::overlapsAnyWithState(const AddrRange &range,
-                              FlushState state) const
-{
-    bool found = false;
-    overlapVisit(root_, range, [&](const Node *node) {
-        if (node->rec.state == state)
-            found = true;
-    });
     return found;
 }
 

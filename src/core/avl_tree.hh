@@ -81,17 +81,8 @@ class AvlTree
 
     bool empty() const { return count_ == 0; }
 
-    /** Visit every node overlapping @p range (in key order). */
-    void forEachOverlap(const AddrRange &range,
-                        const std::function<void(const LocationRecord &)>
-                            &visit) const;
-
     /** True if any node overlaps @p range. */
     bool overlapsAny(const AddrRange &range) const;
-
-    /** True if any node overlapping @p range has state @p state. */
-    bool overlapsAnyWithState(const AddrRange &range,
-                              FlushState state) const;
 
     /** Outcome of applying one CLF to the tree. */
     struct FlushOutcome

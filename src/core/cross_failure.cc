@@ -22,7 +22,7 @@ CrossFailureChecker::check(const ReportSink &sink,
     CrashSimulator sim(device);
     std::vector<std::uint8_t> image =
         at.landedLines ? sim.partialImage(*at.landedLines)
-                       : sim.crashImage(at.policy, at.seed);
+                       : sim.crashImage(CrashPolicy::DropPending);
     const std::string inconsistency = verify(image);
     if (inconsistency.empty())
         return false;

@@ -33,20 +33,15 @@ namespace pmdb
  * lines reach durability at that instant.
  *
  * When @ref landedLines is set, exactly those pending cache lines land
- * (CrashSimulator::partialImage); otherwise the whole pending set is
- * resolved by @ref policy — DropPending, CommitPending, or the seeded
- * RandomPending coin-flip.
+ * (CrashSimulator::partialImage); otherwise none does
+ * (CrashPolicy::DropPending).
  */
 struct CrashPointSpec
 {
     /** Sequence number of the injected failure, for provenance. */
     SeqNum seq = 0;
-    /** Pending-set resolution when landedLines is not given. */
-    CrashPolicy policy = CrashPolicy::DropPending;
     /** Exact pending-line subset (cache-line indices) that lands. */
     std::optional<std::vector<std::uint64_t>> landedLines;
-    /** Seed for CrashPolicy::RandomPending. */
-    std::uint64_t seed = 1;
 };
 
 /** Runs recovery verifiers against simulated crash images. */

@@ -60,9 +60,6 @@ void writeCrossGroupsJson(JsonWriter &out,
 class CrossprocEngine
 {
   public:
-    /** Mirror the shard pool's routing shape (see CrossRuleEngine). */
-    CrossprocEngine(std::size_t shards, Addr stripeBytes);
-
     /** Session @p id announced membership of @p pool as @p writer. */
     void joinGroup(std::uint32_t id, const std::string &pool,
                    std::uint32_t writer);
@@ -101,8 +98,6 @@ class CrossprocEngine
 
     void evaluate(const std::string &pool, Group &group);
 
-    std::size_t shards_;
-    Addr stripeBytes_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Group> groups_;
     std::unordered_map<std::uint32_t, std::string> sessionPool_;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 
 namespace pmdb
 {
@@ -197,21 +196,14 @@ PmemDevice::reset()
 }
 
 std::vector<std::uint8_t>
-CrashSimulator::crashImage(CrashPolicy policy, std::uint64_t seed) const
+CrashSimulator::crashImage(CrashPolicy policy) const
 {
     std::vector<std::uint8_t> image = device_.persistedImage_;
     if (policy == CrashPolicy::DropPending)
         return image;
-
-    Rng rng(seed);
     for (const auto &[line, snapshot] : device_.pendingLines_) {
-        const bool lands =
-            policy == CrashPolicy::CommitPending || rng.nextBool(0.5);
-        if (lands) {
-            const Addr base = line * cacheLineSize;
-            std::memcpy(image.data() + base, snapshot.data.data(),
-                        cacheLineSize);
-        }
+        std::memcpy(image.data() + line * cacheLineSize,
+                    snapshot.data.data(), cacheLineSize);
     }
     return image;
 }

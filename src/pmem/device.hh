@@ -204,8 +204,6 @@ enum class CrashPolicy
     DropPending,
     /** Every pending writeback happens to land before the crash. */
     CommitPending,
-    /** Each pending line independently survives with probability 1/2. */
-    RandomPending,
 };
 
 /**
@@ -222,8 +220,7 @@ class CrashSimulator
      * Produce the byte image a recovery program would observe after a
      * crash at this instant.
      */
-    std::vector<std::uint8_t> crashImage(CrashPolicy policy,
-                                         std::uint64_t seed = 1) const;
+    std::vector<std::uint8_t> crashImage(CrashPolicy policy) const;
 
     /**
      * Partial-persistence image: exactly the pending lines listed in

@@ -15,16 +15,6 @@ findBugCase(const std::string &name)
     return nullptr;
 }
 
-DebuggerConfig
-debuggerConfigFor(const BugCase &bug_case)
-{
-    DebuggerConfig config;
-    config.model = bug_case.model;
-    if (!bug_case.orderSpec.empty())
-        config.orderSpec = OrderSpec::fromText(bug_case.orderSpec);
-    return config;
-}
-
 LoadedTrace
 recordCaseTrace(const BugCase &bug_case, bool buggy,
                 const CaseParams *params)

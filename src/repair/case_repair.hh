@@ -26,9 +26,6 @@ namespace pmdb
 /** The suite case named @p name, or null. */
 const BugCase *findBugCase(const std::string &name);
 
-/** The PMDebugger configuration the suite runner drives this case with. */
-DebuggerConfig debuggerConfigFor(const BugCase &bug_case);
-
 /**
  * Record the case's event stream with no detectors attached — the
  * trace a recorder/service deployment would hand to offline analysis.

@@ -12,11 +12,11 @@
 
 #include "common/logging.hh"
 #include "core/report.hh"
-#include "service/cpu_pin.hh"
 #include "service/spsc_ring.hh"
 #include "service/transport.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
+#include "trace/batch.hh"
 #include "trace/trace_file.hh"
 
 namespace pmdb
@@ -48,22 +48,8 @@ struct DrainMetrics
     }
 };
 
-/**
- * Normalize the daemon config and derive the pool's pinning layout:
- * pollers occupy cores [0, pollers), shard workers follow.
- */
-ShardPoolConfig
-poolConfigFor(ServiceConfig &config)
-{
-    if (config.pollers == 0)
-        config.pollers = 1;
-    if (config.drainEvents == 0)
-        config.drainEvents = 4096;
-    ShardPoolConfig pool = config.pool;
-    pool.pinCores = config.pinCores;
-    pool.pinBase = config.pollers;
-    return pool;
-}
+/** Events drained from a ring per poll: 16 full batch frames. */
+constexpr std::size_t drainEvents = 16 * defaultBatchCapacity;
 
 /**
  * Adaptive idle backoff for a poller: yield while recently busy so a
@@ -125,9 +111,10 @@ struct ServiceDaemon::Poller
 };
 
 ServiceDaemon::ServiceDaemon(ServiceConfig config)
-    : config_(std::move(config)), pool_(poolConfigFor(config_)),
-      crossproc_(config_.pool.shards, config_.pool.stripeBytes)
+    : config_(std::move(config)), pool_(config_.pool)
 {
+    if (config_.pollers == 0)
+        config_.pollers = 1;
 }
 
 ServiceDaemon::~ServiceDaemon()
@@ -151,8 +138,6 @@ ServiceDaemon::start(std::string *error)
         poller->index = i;
         poller->thread =
             std::thread([this, p = poller.get()] { pollerLoop(*p); });
-        if (config_.pinCores)
-            pinThreadToCore(poller->thread, i);
         pollers_.push_back(std::move(poller));
     }
     acceptThread_ = std::thread([this] { acceptLoop(); });
@@ -563,7 +548,6 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     DebuggerConfig config;
     config.model = session.hello.model;
     config.arrayCapacity = config_.pool.arrayCapacity;
-    config.mergeThreshold = config_.pool.mergeThreshold;
     if (!session.hello.orderSpecText.empty())
         config.orderSpec =
             OrderSpec::fromText(session.hello.orderSpecText);
@@ -586,7 +570,7 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     out.put(static_cast<std::uint32_t>(session.id));
     sendMessage(session.fd, MsgType::Welcome, out.bytes());
 
-    session.scratch.resize(config_.drainEvents);
+    session.scratch.resize(drainEvents);
     session.started = std::chrono::steady_clock::now();
     session.phase = ActiveSession::Phase::Streaming;
     return true;

@@ -49,13 +49,6 @@ struct ServiceConfig
     ShardPoolConfig pool;
     /** Poller threads multiplexing the client rings. */
     std::size_t pollers = 1;
-    /** Events drained from a ring per poll (>= one batch frame). */
-    std::size_t drainEvents = 4096;
-    /**
-     * Pin pollers and shard workers round-robin to distinct cores
-     * (pollers first, then workers). Opt-in: `pmdbd --pin-cores`.
-     */
-    bool pinCores = false;
     /**
      * When non-empty, serve live metric snapshots on this Unix socket
      * (`pmdbd --metrics-sock`): a connection sends one request line —

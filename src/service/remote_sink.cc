@@ -103,9 +103,10 @@ RemoteSink::connect(const Options &options, std::string *error)
     pushed_ = spilled_ = dropped_ = frames_ = 0;
     spilling_ = false;
     dead_ = false;
-    batch_.setCapacity(std::min<std::uint32_t>(
-        std::max<std::uint32_t>(options_.batchEvents, 1),
-        options_.ringSlots));
+    // Events reach the ring in frames of up to defaultBatchCapacity,
+    // so the shared cursors move once per frame, not once per event.
+    batch_.setCapacity(std::min<std::size_t>(defaultBatchCapacity,
+                                             options_.ringSlots));
     return true;
 }
 

@@ -42,13 +42,6 @@ class RemoteSink : public TraceSink
         std::string ringPath;
         /** Ring capacity in events — the producer's credits. */
         std::uint32_t ringSlots = 4096;
-        /**
-         * Client-side accumulation batch: events are published into
-         * the ring in frames of up to this many events, so the shared
-         * cursors are touched once per frame instead of once per
-         * event. Clamped to the ring capacity.
-         */
-        std::uint32_t batchEvents = defaultBatchCapacity;
         SlowConsumerPolicy policy = SlowConsumerPolicy::Block;
         /** Spill trace path (required for the Spill policy). */
         std::string spillPath;
@@ -121,7 +114,7 @@ class RemoteSink : public TraceSink
     void disconnect();
 
     EventRing ring_;
-    EventBatch batch_{defaultBatchCapacity};
+    EventBatch batch_;
     TraceStreamWriter spill_;
     Options options_;
     const NameTable *names_ = nullptr;

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "core/order_spec.hh"
-#include "service/cpu_pin.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 
@@ -167,13 +166,8 @@ ShardPool::start()
         return;
     running_ = true;
     stopping_ = false;
-    for (std::size_t i = 0; i < config_.shards; ++i) {
+    for (std::size_t i = 0; i < config_.shards; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
-        if (config_.pinCores) {
-            pinThreadToCore(workers_.back(),
-                            config_.pinBase + i);
-        }
-    }
 }
 
 void

@@ -91,13 +91,8 @@ struct ShardPoolConfig
     Addr stripeBytes = 64ull << 20;
     /** Per-shard debugger array capacity (Section 4.1). */
     std::size_t arrayCapacity = 100000;
-    /** Per-shard AVL lazy-merge threshold. */
-    std::size_t mergeThreshold = 500;
     /** Max queued Events tasks per (session, shard) queue. */
     std::size_t queueCapacity = 64;
-    /** Pin worker threads round-robin to cores, starting at pinBase. */
-    bool pinCores = false;
-    std::size_t pinBase = 0;
     /**
      * Test hook: a worker processing an Events task whose queue lives
      * on @p slowShard sleeps @p slowShardDelayUs first — a

@@ -21,17 +21,14 @@
 namespace pmdb
 {
 
-/** Capacity used by PmRuntime unless overridden (setBatchCapacity). */
+/** Capacity of PmRuntime's batches and RemoteSink's ring frames. */
 constexpr std::size_t defaultBatchCapacity = 256;
 
 /** A fixed-capacity, in-order buffer of pending events. */
 class EventBatch
 {
   public:
-    explicit EventBatch(std::size_t capacity = defaultBatchCapacity)
-    {
-        setCapacity(capacity);
-    }
+    EventBatch() : events_(defaultBatchCapacity) {}
 
     /** Resize the buffer; only legal while the batch is empty. */
     void

@@ -149,18 +149,6 @@ PmRuntime::setDispatchMode(DispatchMode mode)
 }
 
 void
-PmRuntime::setBatchCapacity(std::size_t capacity)
-{
-    drain();
-    batchCapacity_ = capacity ? capacity : 1;
-    batch_.setCapacity(batchCapacity_);
-    for (auto &slot : threadBatches_) {
-        if (slot)
-            slot->setCapacity(batchCapacity_);
-    }
-}
-
-void
 PmRuntime::drain()
 {
     if (mode_ == DispatchMode::PerEvent)
@@ -404,7 +392,7 @@ PmRuntime::threadBatchFor(ThreadId thread)
         return nullptr;
     auto &slot = threadBatches_[static_cast<std::size_t>(thread)];
     if (!slot)
-        slot = std::make_unique<EventBatch>(batchCapacity_);
+        slot = std::make_unique<EventBatch>();
     return slot.get();
 }
 

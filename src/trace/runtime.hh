@@ -102,9 +102,6 @@ class PmRuntime
     /** Select the dispatch mode; switching drains pending events. */
     void setDispatchMode(DispatchMode mode);
 
-    /** Batch capacity for Batched mode (drains, then resizes). */
-    void setBatchCapacity(std::size_t capacity);
-
     /**
      * Flush every pending batch. After drain() returns, every sink has
      * observed every event issued before the call. No-op in PerEvent
@@ -312,7 +309,6 @@ class PmRuntime
 
     DispatchMode mode_ = DispatchMode::PerEvent;
     EventBatch batch_;
-    std::size_t batchCapacity_ = defaultBatchCapacity;
     /**
      * Per-thread accumulation batches for thread-safe Batched
      * dispatch, created lazily by the owning thread. Only the thread

@@ -3,7 +3,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <memory>
+#include <system_error>
 
 namespace pmdb
 {
@@ -88,10 +91,23 @@ pack(const Event &event)
     return packed;
 }
 
-Event
-unpack(const PackedEvent &packed)
+/**
+ * Decode one record into @p event. False for a record no writer can
+ * produce: an unknown kind or CLF, or a range past the address space.
+ */
+bool
+unpack(const PackedEvent &packed, Event *out)
 {
-    Event event;
+    constexpr auto lastKind =
+        static_cast<std::uint8_t>(EventKind::ProgramEnd);
+    constexpr auto lastFlushKind =
+        static_cast<std::uint8_t>(FlushKind::Clflushopt);
+    if (packed.kind > lastKind || packed.flushKind > lastFlushKind ||
+        packed.addr >
+            std::numeric_limits<std::uint64_t>::max() - packed.size) {
+        return false;
+    }
+    Event &event = *out;
     event.kind = static_cast<EventKind>(packed.kind);
     event.flushKind = static_cast<FlushKind>(packed.flushKind);
     event.thread = packed.thread;
@@ -101,7 +117,23 @@ unpack(const PackedEvent &packed)
     event.size = packed.size;
     event.seq = packed.seq;
     event.global = packed.global;
-    return event;
+    return true;
+}
+
+/** Every event's nameId must be noName or index @p trace's names. */
+bool
+checkNameIds(const LoadedTrace &trace, std::string *error)
+{
+    for (const Event &event : trace.events) {
+        if (event.nameId != noName && event.nameId >= trace.names.size()) {
+            return fail(error, "corrupt trace: event seq " +
+                                   std::to_string(event.seq) +
+                                   " names id " +
+                                   std::to_string(event.nameId) + " of " +
+                                   std::to_string(trace.names.size()));
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -170,15 +202,28 @@ readTraceFile(const std::string &path, LoadedTrace *out,
     std::uint64_t event_count = 0;
     if (!readValue(file.get(), &event_count))
         return fail(error, "truncated trace: event count");
+    // The count must fit in the bytes left, so a corrupt header cannot
+    // size the event vector.
+    const long records_at = std::ftell(file.get());
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec || records_at < 0 ||
+        size < static_cast<std::uintmax_t>(records_at) ||
+        event_count > (size - static_cast<std::uintmax_t>(records_at)) /
+                          sizeof(PackedEvent)) {
+        return fail(error, "truncated trace: header claims " +
+                               std::to_string(event_count) + " events");
+    }
     out->events.clear();
-    out->events.reserve(event_count);
-    for (std::uint64_t i = 0; i < event_count; ++i) {
+    out->events.resize(event_count);
+    for (Event &event : out->events) {
         PackedEvent packed;
         if (!readValue(file.get(), &packed))
             return fail(error, "truncated trace: event records");
-        out->events.push_back(unpack(packed));
+        if (!unpack(packed, &event))
+            return fail(error, "corrupt trace: bad event record");
     }
-    return true;
+    return checkNameIds(*out, error);
 }
 
 TraceStreamWriter::~TraceStreamWriter()
@@ -306,7 +351,10 @@ readTraceStream(const std::string &path, LoadedTrace *out,
             PackedEvent packed;
             if (!readValue(file.get(), &packed))
                 return tail();
-            out->events.push_back(unpack(packed));
+            Event event;
+            if (!unpack(packed, &event))
+                return fail(error, "corrupt stream: bad event record");
+            out->events.push_back(event);
         } else {
             return fail(error, "corrupt stream: unknown record tag");
         }
@@ -329,8 +377,10 @@ readAnyTrace(const std::string &path, LoadedTrace *out, bool *truncated,
     }
     if (std::memcmp(magic, traceMagic, sizeof(magic)) == 0)
         return readTraceFile(path, out, error);
-    if (std::memcmp(magic, streamMagic, sizeof(magic)) == 0)
-        return readTraceStream(path, out, truncated, error);
+    if (std::memcmp(magic, streamMagic, sizeof(magic)) == 0) {
+        return readTraceStream(path, out, truncated, error) &&
+               checkNameIds(*out, error);
+    }
     return fail(error, path + " is not a PMDB trace (bad magic)");
 }
 

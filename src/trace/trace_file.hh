@@ -7,19 +7,27 @@
  * Persistence Inspector) use, offline characterization, and detector
  * regression testing against frozen traces.
  *
- * Format (little-endian, version 1):
- *   magic   "PMDBTRC1"                      (8 bytes)
+ * Format (little-endian, version 2):
+ *   magic   "PMDBTRC2"                      (8 bytes)
  *   u32     name count                       + each: u32 len, bytes
- *   u64     event count                      + each: packed EventRecord
+ *   u64     event count                      + each: packed event
+ *
+ * A packed event holds every Event field, including the Load kind and
+ * the shared-pool `global` clock ticket that version 2 added; version-1
+ * files are rejected by magic.
  *
  * The batch format above needs the full event vector up front. The
- * *stream* format ("PMDBTRS1") is an append-only sibling for writers
+ * *stream* format ("PMDBTRS2") is an append-only sibling for writers
  * that cannot know the final event count — live spill-to-disk under
  * backpressure, long-running recorders: a magic header followed by
  * tagged records ('N' interned name, 'E' packed event), flushable at
  * any record boundary. Because a crash can truncate the file
  * mid-record, readTraceStream recovers the longest valid prefix
  * instead of failing.
+ *
+ * Readers reject records no writer produces — an unknown event kind or
+ * CLF, a range past the end of the address space — and a batch header
+ * promising more events than the file holds.
  */
 
 #ifndef PMDB_TRACE_TRACE_FILE_HH
@@ -53,7 +61,8 @@ bool writeTraceFile(const std::string &path,
 
 /**
  * Load a trace written by writeTraceFile. Returns false and fills
- * @p error on I/O failure or format mismatch.
+ * @p error on I/O failure, format mismatch, a corrupt record, or an
+ * event whose nameId is neither noName nor a loaded name.
  */
 bool readTraceFile(const std::string &path, LoadedTrace *out,
                    std::string *error = nullptr);
@@ -116,7 +125,9 @@ class TraceStreamWriter
  * the writer crashed or was killed mid-record — is not an error: the
  * longest valid record prefix is returned and @p truncated (when
  * non-null) is set. Returns false only for I/O failures, a bad header,
- * or structural corruption (an unknown record tag).
+ * or structural corruption (an unknown record tag, a corrupt event).
+ * Event nameIds are not checked: a pmdbd spill file carries none of
+ * the names, which reach the daemon over the control socket.
  */
 bool readTraceStream(const std::string &path, LoadedTrace *out,
                      bool *truncated = nullptr,
@@ -124,10 +135,11 @@ bool readTraceStream(const std::string &path, LoadedTrace *out,
 
 /**
  * Load a trace of either format, dispatching on the file's magic:
- * "PMDBTRC1" (batch) or "PMDBTRS1" (stream). For stream traces a
+ * "PMDBTRC2" (batch) or "PMDBTRS2" (stream). For stream traces a
  * truncated tail sets @p truncated exactly as readTraceStream does;
  * batch traces never set it (a short batch file is a hard error, since
- * its header promised a count it cannot deliver).
+ * its header promised a count it cannot deliver). Both formats get
+ * readTraceFile's nameId check.
  */
 bool readAnyTrace(const std::string &path, LoadedTrace *out,
                   bool *truncated = nullptr,

@@ -1183,4 +1183,14 @@ casesOfType(BugType type)
     return cases;
 }
 
+DebuggerConfig
+debuggerConfigFor(const BugCase &bug_case)
+{
+    DebuggerConfig config;
+    config.model = bug_case.model;
+    if (!bug_case.orderSpec.empty())
+        config.orderSpec = OrderSpec::fromText(bug_case.orderSpec);
+    return config;
+}
+
 } // namespace pmdb

@@ -137,6 +137,9 @@ const std::vector<BugCase> &bugSuite();
 /** Cases of one type. */
 std::vector<const BugCase *> casesOfType(BugType type);
 
+/** The PMDebugger configuration every runner drives @p bug_case with. */
+DebuggerConfig debuggerConfigFor(const BugCase &bug_case);
+
 } // namespace pmdb
 
 #endif // PMDB_WORKLOADS_BUG_SUITE_HH

@@ -21,11 +21,7 @@ runCaseVariant(const BugCase &bug_case, bool buggy,
     PmRuntime runtime;
     runtime.setDispatchMode(mode);
 
-    DebuggerConfig config;
-    config.model = bug_case.model;
-    if (!bug_case.orderSpec.empty())
-        config.orderSpec = OrderSpec::fromText(bug_case.orderSpec);
-    PmDebugger debugger(std::move(config));
+    PmDebugger debugger(debuggerConfigFor(bug_case));
     runtime.attach(&debugger);
 
     CrashsimSession session(options);

@@ -27,11 +27,8 @@ runVariant(const BugCase &bug_case, const std::string &detector,
 
     std::unique_ptr<Detector> tool;
     if (detector == "pmdebugger") {
-        DebuggerConfig config;
-        config.model = bug_case.model;
-        if (!bug_case.orderSpec.empty())
-            config.orderSpec = OrderSpec::fromText(bug_case.orderSpec);
-        auto pd = std::make_unique<PmDebuggerDetector>(std::move(config));
+        auto pd = std::make_unique<PmDebuggerDetector>(
+            debuggerConfigFor(bug_case));
         env.pmdebugger = &pd->debugger();
         tool = std::move(pd);
     } else if (detector == "pmemcheck") {

@@ -60,7 +60,7 @@ mk(EventKind kind, Addr addr, std::uint32_t size, SeqNum global)
 
 TEST(CrossRuleEngineTest, ReadOfOtherWritersDirtyLineIsABug)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(2, mk(EventKind::Load, 0x0, 8, 2));
     engine.finish();
@@ -73,7 +73,7 @@ TEST(CrossRuleEngineTest, ReadOfOtherWritersDirtyLineIsABug)
 
 TEST(CrossRuleEngineTest, ReadOfDurableOrOwnDataIsQuiet)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     // Durable: store, flush, fence by w1, then w2 reads.
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(1, mk(EventKind::Flush, 0x0, 64, 2));
@@ -88,7 +88,7 @@ TEST(CrossRuleEngineTest, ReadOfDurableOrOwnDataIsQuiet)
 
 TEST(CrossRuleEngineTest, PublishBeforePersistFiresAtReadersFence)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     // w1 flushes but never fences the entry; w2 reads it, publishes
     // its own store, and fences.
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
@@ -106,7 +106,7 @@ TEST(CrossRuleEngineTest, PublishBeforePersistFiresAtReadersFence)
 
 TEST(CrossRuleEngineTest, SourceFencedFirstSatisfiesTheDependency)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(1, mk(EventKind::Flush, 0x0, 64, 2));
     engine.feed(2, mk(EventKind::Load, 0x0, 8, 3));
@@ -120,7 +120,7 @@ TEST(CrossRuleEngineTest, SourceFencedFirstSatisfiesTheDependency)
 
 TEST(CrossRuleEngineTest, LoadWithoutLaterPublishIsQuiet)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(1, mk(EventKind::Flush, 0x0, 64, 2));
     engine.feed(2, mk(EventKind::Load, 0x0, 8, 3));
@@ -131,7 +131,7 @@ TEST(CrossRuleEngineTest, LoadWithoutLaterPublishIsQuiet)
 
 TEST(CrossRuleEngineTest, StoreIntoOpenForeignEpochIsABug)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::EpochBegin, 0, 0, 1));
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 2));
     engine.feed(2, mk(EventKind::Store, 0x8, 8, 3)); // same line
@@ -143,7 +143,7 @@ TEST(CrossRuleEngineTest, StoreIntoOpenForeignEpochIsABug)
 
 TEST(CrossRuleEngineTest, StoreAfterForeignEpochClosesIsQuiet)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::EpochBegin, 0, 0, 1));
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 2));
     engine.feed(1, mk(EventKind::EpochEnd, 0, 0, 3));

@@ -142,18 +142,6 @@ TEST_F(DeviceTest, CrashImageCommitPendingIncludesFlushedData)
     EXPECT_EQ(readPersistedFrom(image, 0x300), 0u);
 }
 
-TEST_F(DeviceTest, RandomPendingIsDeterministicPerSeed)
-{
-    for (int i = 0; i < 16; ++i) {
-        write64(0x1000 + i * 64, i + 1);
-        runtime.flush(0x1000 + i * 64, 64);
-    }
-    CrashSimulator sim(device);
-    const auto a = sim.crashImage(CrashPolicy::RandomPending, 7);
-    const auto b = sim.crashImage(CrashPolicy::RandomPending, 7);
-    EXPECT_EQ(a, b);
-}
-
 TEST_F(DeviceTest, JoinStrandDrainsPending)
 {
     write64(0x100, 0x42);

@@ -197,13 +197,12 @@ TEST(DispatchPipeline, BatchedFlushesAtCapacity)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setDispatchMode(DispatchMode::Batched);
-    runtime.setBatchCapacity(4);
 
-    for (int i = 0; i < 3; ++i)
+    for (std::size_t i = 0; i + 1 < defaultBatchCapacity; ++i)
         runtime.store(0x100 + 8 * i, 8);
     EXPECT_EQ(recorder.events().size(), 0u);
-    runtime.store(0x200, 8);
-    EXPECT_EQ(recorder.events().size(), 4u)
+    runtime.store(0x100 + 8 * defaultBatchCapacity, 8);
+    EXPECT_EQ(recorder.events().size(), defaultBatchCapacity)
         << "a full batch flushes without waiting for a boundary";
 }
 

@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <utility>
+#include <vector>
 
 #include "core/report.hh"
 #include "detectors/persistence_inspector.hh"
@@ -294,6 +296,85 @@ TEST(TraceAnyTest, DispatchesOnMagicAndReportsTruncation)
     std::fclose(file);
     EXPECT_FALSE(readAnyTrace(junk.str(), &loaded, nullptr, &error));
     EXPECT_NE(error.find("magic"), std::string::npos);
+}
+
+/** Records no writer produces, by what is wrong with them. */
+std::vector<std::pair<std::string, Event>>
+corruptEvents()
+{
+    Event kind;
+    kind.kind = static_cast<EventKind>(200);
+    Event flush_kind;
+    flush_kind.kind = EventKind::Flush;
+    flush_kind.flushKind = static_cast<FlushKind>(7);
+    flush_kind.addr = 0x40;
+    flush_kind.size = 64;
+    Event wraps;
+    wraps.kind = EventKind::Store;
+    wraps.addr = ~Addr(0) - 3;
+    wraps.size = 8;
+    Event name;
+    name.kind = EventKind::RegisterPmem;
+    name.nameId = 424242;
+    name.addr = 0x40;
+    name.size = 8;
+    return {{"kind", kind},
+            {"flush kind", flush_kind},
+            {"range wraps", wraps},
+            {"name id", name}};
+}
+
+TEST(TraceFileTest, RejectsCorruptEventRecords)
+{
+    for (const auto &[what, event] : corruptEvents()) {
+        TempPath path("corrupt.trc");
+        std::string error;
+        ASSERT_TRUE(writeTraceFile(path.str(), {event}, NameTable(),
+                                   &error))
+            << error;
+        LoadedTrace loaded;
+        EXPECT_FALSE(readAnyTrace(path.str(), &loaded, nullptr, &error))
+            << what;
+        EXPECT_NE(error.find("corrupt"), std::string::npos) << what;
+    }
+}
+
+TEST(TraceFileTest, RejectsEventCountBeyondFileSize)
+{
+    Event event;
+    event.kind = EventKind::Fence;
+    TempPath path("oversized.trc");
+    std::string error;
+    ASSERT_TRUE(writeTraceFile(path.str(), {event}, NameTable(), &error))
+        << error;
+    // With no names the u64 event count follows the magic and the u32
+    // name count.
+    std::FILE *file = std::fopen(path.str().c_str(), "r+b");
+    ASSERT_NE(file, nullptr);
+    const std::uint64_t claimed = 1ull << 60;
+    ASSERT_EQ(std::fseek(file, 12, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&claimed, sizeof(claimed), 1, file), 1u);
+    std::fclose(file);
+
+    LoadedTrace loaded;
+    EXPECT_FALSE(readTraceFile(path.str(), &loaded, &error));
+    EXPECT_NE(error.find("claims"), std::string::npos) << error;
+}
+
+TEST(TraceStreamTest, RejectsCorruptEventRecords)
+{
+    for (const auto &[what, event] : corruptEvents()) {
+        TempPath path("corrupt.trs");
+        TraceStreamWriter writer;
+        std::string error;
+        ASSERT_TRUE(writer.open(path.str(), &error)) << error;
+        ASSERT_TRUE(writer.append(event));
+        ASSERT_TRUE(writer.close());
+        LoadedTrace loaded;
+        EXPECT_FALSE(readAnyTrace(path.str(), &loaded, nullptr, &error))
+            << what;
+        EXPECT_NE(error.find("corrupt"), std::string::npos) << what;
+    }
 }
 
 TEST(PersistenceInspectorTest, PostMortemFindsDurabilityBugs)

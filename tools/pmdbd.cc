@@ -55,8 +55,6 @@ main(int argc, char **argv)
         .option("--array-capacity N", "per-shard location-array capacity",
                 &config.pool.arrayCapacity)
         .option("--pollers N", "ring-poller threads", &config.pollers)
-        .flag("--pin-cores", "pin threads to distinct cores",
-              &config.pinCores)
         .option("--metrics-sock PATH", "serve live metrics snapshots",
                 &config.metricsSocketPath)
         .option("--stats-interval SEC", "log an ingest summary line",
@@ -80,10 +78,9 @@ main(int argc, char **argv)
         return cli::exitFailure;
     }
     std::fprintf(stderr,
-                 "pmdbd: listening on %s (%zu shards, %zu pollers%s)\n",
+                 "pmdbd: listening on %s (%zu shards, %zu pollers)\n",
                  config.socketPath.c_str(), config.pool.shards,
-                 config.pollers ? config.pollers : 1,
-                 config.pinCores ? ", pinned" : "");
+                 config.pollers ? config.pollers : 1);
 
     if (once >= 0) {
         while (!interrupted.load() &&
