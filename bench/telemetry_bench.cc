@@ -4,10 +4,10 @@
  * always-on metrics substrate.
  *
  * Part 1 measures the primitives in isolation (striped counter add,
- * histogram record, the enabled() gate) in ns/op. Part 2 runs the
- * dispatch micro-stream (same shape as dispatch_bench: fence
- * intervals of 64 stores + collective flush + fence, batched mode —
- * the production pipeline) with telemetry enabled and disabled in
+ * histogram record, the enabled() gate) in ns/op. Part 2 runs a
+ * dispatch micro-stream (fence intervals of 64 stores + collective
+ * flush + fence, batched mode — the production pipeline) with
+ * telemetry enabled and disabled in
  * drift-cancelling OFF-ON-OFF / ON-OFF-ON triplets, and reports the
  * median relative overhead across triplets. The gate: enabled
  * dispatch must stay within 2% of disabled at full scale (scaled
@@ -39,7 +39,7 @@ struct MicroResult
     std::size_t bugs = 0;
 };
 
-/** Same stream as dispatch_bench's micro part: dispatch-dominated. */
+/** A dispatch-dominated stream: little detector work per event. */
 MicroResult
 runMicro(std::size_t fence_intervals)
 {

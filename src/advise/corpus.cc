@@ -48,8 +48,7 @@ adviseOneTrace(const BugCase &bug_case, const CaseParams &params,
         }
     }
 
-    const RepairResult result =
-        repairTrace(input, target, config, spec.repair);
+    const RepairResult result = repairTrace(input, target, config);
     outcome.replays += result.replays;
     outcome.verified = result.verified;
     outcome.strategy = result.patch.strategy;

@@ -53,7 +53,6 @@ struct CorpusSpec
      * cover the whole execution.
      */
     bool minimizeFirst = true;
-    RepairOptions repair;
     MinimizeOptions minimize;
 
     /** The seeds × threads × mixes grid, in deterministic order. */

@@ -105,7 +105,7 @@ PmemcheckDetector::processFlush(const Event &event)
     ++base_.flushes;
     const AvlTree::FlushOutcome outcome = tree_.applyFlush(event.range());
 
-    if (config_.detectFlushNothing && !outcome.hitAny) {
+    if (!outcome.hitAny) {
         BugReport report;
         report.type = BugType::FlushNothing;
         report.range = event.range();
@@ -113,8 +113,7 @@ PmemcheckDetector::processFlush(const Event &event)
         report.detail = "CLF persists no prior store";
         bugs_.report(report);
     }
-    if (config_.detectRedundantFlush && outcome.hitAny &&
-        !outcome.hitUnflushed) {
+    if (outcome.hitAny && !outcome.hitUnflushed) {
         BugReport report;
         report.type = BugType::RedundantFlush;
         report.range = event.range();
@@ -140,8 +139,6 @@ PmemcheckDetector::finalize()
     if (finalized_)
         return;
     finalized_ = true;
-    if (!config_.detectNoDurability)
-        return;
     tree_.forEach([&](const LocationRecord &rec) {
         BugReport report;
         report.type = BugType::NoDurability;

@@ -39,9 +39,6 @@ struct PmemcheckConfig
      * suite enables it for the overwrite cases.
      */
     bool detectMultipleOverwrite = false;
-    bool detectRedundantFlush = true;
-    bool detectFlushNothing = true;
-    bool detectNoDurability = true;
 };
 
 /** The Pmemcheck baseline detector. */

@@ -25,6 +25,14 @@ isCorrectnessRule(BugType type)
 namespace
 {
 
+/**
+ * Fix-one-occurrence rounds per candidate: one fingerprint can stand
+ * for many violation sites, and each round repairs one.
+ */
+constexpr std::size_t maxInsertRounds = 256;
+/** Iterations of the deletion cascade (perf rules, cleanup). */
+constexpr std::size_t maxDeleteIterations = 4096;
+
 std::string
 hexAddr(Addr addr)
 {
@@ -433,11 +441,9 @@ isCascadeDeletable(BugType type)
 bool
 cascadeDeletes(std::vector<Event> &work, const ReplayOracle &oracle,
                const BugFingerprint &target, const ReplayReport &original,
-               const RepairOptions &options, TracePatch &patch,
-               ReplayReport &last)
+               TracePatch &patch, ReplayReport &last)
 {
-    for (std::size_t iter = 0; iter < options.maxDeleteIterations;
-         ++iter) {
+    for (std::size_t iter = 0; iter < maxDeleteIterations; ++iter) {
         last = oracle.replay(work);
         const BugReport *victim = last.find(target);
         if (victim && isCorrectnessRule(target.type)) {
@@ -507,7 +513,7 @@ ruleClassHasVocabulary(BugType type)
 
 RepairResult
 repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
-            const DebuggerConfig &config, const RepairOptions &options)
+            const DebuggerConfig &config)
 {
     RepairResult result;
     const ReplayOracle oracle(config, trace.names);
@@ -538,9 +544,7 @@ repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
         // strategy variant (cheapest alternative first) therefore
         // iterates: replay, locate the current occurrence, insert its
         // edits, repeat until the target stops reproducing.
-        for (std::size_t variant = 0;
-             variant < 2 && !result.verified &&
-             result.candidatesTried < options.maxCandidates;
+        for (std::size_t variant = 0; variant < 2 && !result.verified;
              ++variant) {
             ++result.candidatesTried;
             std::vector<Event> work = trace.events;
@@ -550,7 +554,7 @@ repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
             SeqNum prevSeq = 0;
             ReplayReport last;
             for (std::size_t round = 0;; ++round) {
-                if (round >= options.maxInsertRounds) {
+                if (round >= maxInsertRounds) {
                     ok = false;
                     break;
                 }
@@ -597,8 +601,8 @@ repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
             }
             if (!ok || applied.edits.empty())
                 continue;
-            if (!cascadeDeletes(work, oracle, target, original, options,
-                                applied, last)) {
+            if (!cascadeDeletes(work, oracle, target, original, applied,
+                                last)) {
                 continue;
             }
             if (!durableAtEnd(work, AddrRange(target.start, target.end)))
@@ -622,8 +626,8 @@ repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
                             ? "fence"
                             : "operation");
         ReplayReport last;
-        if (cascadeDeletes(work, oracle, target, original, options,
-                           applied, last)) {
+        if (cascadeDeletes(work, oracle, target, original, applied,
+                           last)) {
             SeqNum seq = 0;
             for (Event &event : work)
                 event.seq = ++seq;
@@ -638,10 +642,6 @@ repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
                                   target.toString() + "]");
         for (const TraceEdit &edit : result.patch.edits)
             result.advisory.push_back(edit.note);
-        if (options.crashsimCheck &&
-            isCorrectnessRule(target.type)) {
-            result.crashScan = scanCrashPoints(result.patchedEvents);
-        }
     }
     result.replays = oracle.replays();
     return result;

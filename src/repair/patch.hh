@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "crashsim/crash_points.hh"
 #include "repair/oracle.hh"
 #include "trace/trace_file.hh"
 
@@ -81,22 +80,6 @@ struct TracePatch
     std::string strategy;
 };
 
-/** Synthesizer bounds. */
-struct RepairOptions
-{
-    /** Cap on insertion candidates tried per bug. */
-    std::size_t maxCandidates = 64;
-    /**
-     * Cap on fix-one-occurrence rounds per candidate (one fingerprint
-     * can stand for many violation sites; each round repairs one).
-     */
-    std::size_t maxInsertRounds = 256;
-    /** Cap on iterations of the deletion loop (perf rules). */
-    std::size_t maxDeleteIterations = 4096;
-    /** Run the structural crashsim scan on the patched trace. */
-    bool crashsimCheck = true;
-};
-
 /** Outcome of one repair attempt. */
 struct RepairResult
 {
@@ -111,8 +94,6 @@ struct RepairResult
     std::vector<std::string> advisory;
     std::size_t candidatesTried = 0;
     std::uint64_t replays = 0;
-    /** Structural crash-point scan of the patched trace (if run). */
-    CrashScanSummary crashScan;
 };
 
 /**
@@ -134,8 +115,7 @@ bool isCorrectnessRule(BugType type);
  */
 RepairResult repairTrace(const LoadedTrace &trace,
                          const BugFingerprint &target,
-                         const DebuggerConfig &config,
-                         const RepairOptions &options = {});
+                         const DebuggerConfig &config);
 
 } // namespace pmdb
 

@@ -87,6 +87,9 @@ struct ServiceDaemon::ActiveSession
     EventRing ring;
     ByeBody bye;
     bool sawBye = false;
+    /** Names acked over the control socket; spilled events may only
+     *  reference these (a spill file carries no names). */
+    NameTable names;
     std::vector<BugReport> external;
     /** Routed events awaiting queue space (backpressure). */
     PendingRoute pending;
@@ -598,7 +601,9 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
           case MsgType::InternName: {
             WireReader in(payload);
             const auto id = in.get<std::uint32_t>();
-            pool_.internName(session.id, id, in.getString());
+            const std::string name = in.getString();
+            session.names.intern(name);
+            pool_.internName(session.id, id, name);
             WireWriter ack;
             ack.put(id);
             sendMessage(session.fd, MsgType::NameAck, ack.bytes());
@@ -686,14 +691,17 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
     if (session.sawBye && session.pending.empty() &&
         session.ring.size() == 0) {
         // Under the Spill policy the tail of the stream sits in the
-        // spill trace file, in order; replay it after the ring.
+        // spill trace file, in order; replay it after the ring. A
+        // spill the reader rejects (corrupt, or naming an id this
+        // session never interned) aborts this session only.
         if (session.bye.spillEvents &&
             !session.hello.spillPath.empty()) {
             LoadedTrace spill;
+            spill.names = session.names;
             bool truncated = false;
             std::string error;
-            if (readTraceStream(session.hello.spillPath, &spill,
-                                &truncated, &error)) {
+            if (readTrace(session.hello.spillPath, &spill, &truncated,
+                          &error)) {
                 if (truncated) {
                     warn("pmdbd/poller", "spill trace " +
                          session.hello.spillPath +
@@ -709,7 +717,11 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 session.summary.eventsProcessed +=
                     spill.events.size();
             } else {
-                warn("pmdbd/poller", "cannot replay spill trace: " + error);
+                warn("pmdbd/poller", "cannot replay spill trace: " +
+                     error + "; aborting session " +
+                     std::to_string(session.id));
+                beginClose(sp, /*aborted=*/true);
+                return true;
             }
         }
         beginClose(sp, /*aborted=*/false);

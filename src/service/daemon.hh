@@ -77,7 +77,8 @@ struct SessionSummary
     std::uint64_t queueFullStalls = 0;
     /** Welcome-to-report wall time. */
     double seconds = 0.0;
-    /** Client vanished before Bye; no report was sent. */
+    /** Client vanished before Bye, or its spill trace was rejected;
+     *  no report was sent. */
     bool aborted = false;
 };
 

@@ -16,16 +16,16 @@ namespace
 
 // Version 2: EventKind gained Load (renumbering the packed kind byte)
 // and PackedEvent gained the shared-pool global clock field. Version-1
-// files are rejected by magic rather than silently misdecoded.
-constexpr char traceMagic[8] = {'P', 'M', 'D', 'B',
-                                'T', 'R', 'C', '2'};
+// files, and files of the retired count-headed batch format, are
+// rejected by magic rather than silently misdecoded.
+constexpr char magic[8] = {'P', 'M', 'D', 'B', 'T', 'R', 'S', '2'};
 
-constexpr char streamMagic[8] = {'P', 'M', 'D', 'B',
-                                 'T', 'R', 'S', '2'};
-
-/** Stream record tags. */
+/** Record tags. */
 constexpr char nameTag = 'N';
 constexpr char eventTag = 'E';
+
+/** Longest name a reader accepts, so a corrupt length cannot size one. */
+constexpr std::uint32_t maxNameBytes = 1u << 20;
 
 /** Fixed-width on-disk event layout. */
 struct PackedEvent
@@ -40,6 +40,8 @@ struct PackedEvent
     std::uint64_t seq;
     std::uint64_t global;
 };
+
+constexpr std::size_t eventRecordBytes = 1 + sizeof(PackedEvent);
 
 struct FileCloser
 {
@@ -68,17 +70,49 @@ writeValue(std::FILE *file, const T &value)
     return std::fwrite(&value, sizeof(T), 1, file) == 1;
 }
 
-template <typename T>
-bool
-readValue(std::FILE *file, T *value)
+/**
+ * Sequential reads through a block buffer: one fread per block rather
+ * than per record, which keeps loading a multi-gigabyte trace bound by
+ * decoding, not by stdio call overhead.
+ */
+class BlockReader
 {
-    return std::fread(value, sizeof(T), 1, file) == 1;
-}
+  public:
+    explicit BlockReader(std::FILE *file) : file_(file), block_(1 << 20)
+    {
+    }
+
+    /** Copy the next @p size bytes to @p out; false if the file ends. */
+    bool
+    read(void *out, std::size_t size)
+    {
+        auto *dst = static_cast<char *>(out);
+        while (size > end_ - pos_) {
+            const std::size_t have = end_ - pos_;
+            std::memcpy(dst, block_.data() + pos_, have);
+            dst += have;
+            size -= have;
+            pos_ = 0;
+            end_ = std::fread(block_.data(), 1, block_.size(), file_);
+            if (end_ == 0)
+                return false;
+        }
+        std::memcpy(dst, block_.data() + pos_, size);
+        pos_ += size;
+        return true;
+    }
+
+  private:
+    std::FILE *file_;
+    std::vector<char> block_;
+    std::size_t pos_ = 0;
+    std::size_t end_ = 0;
+};
 
 PackedEvent
 pack(const Event &event)
 {
-    PackedEvent packed;
+    PackedEvent packed{};
     packed.kind = static_cast<std::uint8_t>(event.kind);
     packed.flushKind = static_cast<std::uint8_t>(event.flushKind);
     packed.thread = event.thread;
@@ -120,111 +154,7 @@ unpack(const PackedEvent &packed, Event *out)
     return true;
 }
 
-/** Every event's nameId must be noName or index @p trace's names. */
-bool
-checkNameIds(const LoadedTrace &trace, std::string *error)
-{
-    for (const Event &event : trace.events) {
-        if (event.nameId != noName && event.nameId >= trace.names.size()) {
-            return fail(error, "corrupt trace: event seq " +
-                                   std::to_string(event.seq) +
-                                   " names id " +
-                                   std::to_string(event.nameId) + " of " +
-                                   std::to_string(trace.names.size()));
-        }
-    }
-    return true;
-}
-
 } // namespace
-
-bool
-writeTraceFile(const std::string &path, const std::vector<Event> &events,
-               const NameTable &names, std::string *error)
-{
-    FileHandle file(std::fopen(path.c_str(), "wb"));
-    if (!file)
-        return fail(error, "cannot open " + path + " for writing");
-
-    if (std::fwrite(traceMagic, sizeof(traceMagic), 1, file.get()) != 1)
-        return fail(error, "write failed: magic");
-
-    const auto name_count = static_cast<std::uint32_t>(names.size());
-    if (!writeValue(file.get(), name_count))
-        return fail(error, "write failed: name count");
-    for (std::uint32_t i = 0; i < name_count; ++i) {
-        const std::string &name = names.name(i);
-        const auto len = static_cast<std::uint32_t>(name.size());
-        if (!writeValue(file.get(), len) ||
-            (len && std::fwrite(name.data(), 1, len, file.get()) != len)) {
-            return fail(error, "write failed: name table");
-        }
-    }
-
-    const auto event_count = static_cast<std::uint64_t>(events.size());
-    if (!writeValue(file.get(), event_count))
-        return fail(error, "write failed: event count");
-    for (const Event &event : events) {
-        const PackedEvent packed = pack(event);
-        if (!writeValue(file.get(), packed))
-            return fail(error, "write failed: event record");
-    }
-    return true;
-}
-
-bool
-readTraceFile(const std::string &path, LoadedTrace *out,
-              std::string *error)
-{
-    FileHandle file(std::fopen(path.c_str(), "rb"));
-    if (!file)
-        return fail(error, "cannot open " + path);
-
-    char magic[sizeof(traceMagic)];
-    if (std::fread(magic, sizeof(magic), 1, file.get()) != 1 ||
-        std::memcmp(magic, traceMagic, sizeof(magic)) != 0) {
-        return fail(error, path + " is not a PMDB trace (bad magic)");
-    }
-
-    std::uint32_t name_count = 0;
-    if (!readValue(file.get(), &name_count))
-        return fail(error, "truncated trace: name count");
-    for (std::uint32_t i = 0; i < name_count; ++i) {
-        std::uint32_t len = 0;
-        if (!readValue(file.get(), &len) || len > (1u << 20))
-            return fail(error, "truncated trace: name length");
-        std::string name(len, '\0');
-        if (len && std::fread(name.data(), 1, len, file.get()) != len)
-            return fail(error, "truncated trace: name bytes");
-        out->names.intern(name);
-    }
-
-    std::uint64_t event_count = 0;
-    if (!readValue(file.get(), &event_count))
-        return fail(error, "truncated trace: event count");
-    // The count must fit in the bytes left, so a corrupt header cannot
-    // size the event vector.
-    const long records_at = std::ftell(file.get());
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (ec || records_at < 0 ||
-        size < static_cast<std::uintmax_t>(records_at) ||
-        event_count > (size - static_cast<std::uintmax_t>(records_at)) /
-                          sizeof(PackedEvent)) {
-        return fail(error, "truncated trace: header claims " +
-                               std::to_string(event_count) + " events");
-    }
-    out->events.clear();
-    out->events.resize(event_count);
-    for (Event &event : out->events) {
-        PackedEvent packed;
-        if (!readValue(file.get(), &packed))
-            return fail(error, "truncated trace: event records");
-        if (!unpack(packed, &event))
-            return fail(error, "corrupt trace: bad event record");
-    }
-    return checkNameIds(*out, error);
-}
 
 TraceStreamWriter::~TraceStreamWriter()
 {
@@ -240,9 +170,9 @@ TraceStreamWriter::open(const std::string &path, std::string *error)
         return fail(error, "cannot open " + path + " for writing");
     events_ = 0;
     names_ = 0;
-    if (std::fwrite(streamMagic, sizeof(streamMagic), 1, file_) != 1) {
+    if (std::fwrite(magic, sizeof(magic), 1, file_) != 1) {
         close();
-        return fail(error, "write failed: stream magic");
+        return fail(error, "write failed: magic");
     }
     return true;
 }
@@ -277,11 +207,12 @@ TraceStreamWriter::append(const Event &event)
 {
     if (!file_)
         return false;
+    char record[eventRecordBytes];
+    record[0] = eventTag;
     const PackedEvent packed = pack(event);
-    if (std::fputc(eventTag, file_) == EOF ||
-        !writeValue(file_, packed)) {
+    std::memcpy(record + 1, &packed, sizeof(packed));
+    if (std::fwrite(record, sizeof(record), 1, file_) != 1)
         return false;
-    }
     ++events_;
     return true;
 }
@@ -304,84 +235,88 @@ TraceStreamWriter::close()
 }
 
 bool
-readTraceStream(const std::string &path, LoadedTrace *out,
-                bool *truncated, std::string *error)
+writeTraceFile(const std::string &path, const std::vector<Event> &events,
+               const NameTable &names, std::string *error)
+{
+    TraceStreamWriter writer;
+    if (!writer.open(path, error))
+        return false;
+    bool ok = writer.syncNames(names);
+    for (std::size_t i = 0; ok && i < events.size(); ++i)
+        ok = writer.append(events[i]);
+    if (!writer.close() || !ok)
+        return fail(error, "write failed: " + path);
+    return true;
+}
+
+bool
+readTrace(const std::string &path, LoadedTrace *out, bool *truncated,
+          std::string *error)
 {
     if (truncated)
         *truncated = false;
     FileHandle file(std::fopen(path.c_str(), "rb"));
     if (!file)
         return fail(error, "cannot open " + path);
+    BlockReader in(file.get());
 
-    char magic[sizeof(streamMagic)];
-    if (std::fread(magic, sizeof(magic), 1, file.get()) != 1 ||
-        std::memcmp(magic, streamMagic, sizeof(magic)) != 0) {
-        return fail(error,
-                    path + " is not a PMDB stream trace (bad magic)");
+    char header[sizeof(magic)] = {};
+    if (!in.read(header, sizeof(header)) ||
+        std::memcmp(header, magic, sizeof(header)) != 0) {
+        return fail(error, path + " is not a PMDB trace (bad magic)");
     }
 
+    // The file length bounds the event count, so it can size the
+    // vector without trusting anything the file says.
     out->events.clear();
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (!ec)
+        out->events.reserve(bytes / eventRecordBytes);
+
     const auto tail = [&] {
         if (truncated)
             *truncated = true;
         return true;
     };
     for (;;) {
-        const int tag = std::fgetc(file.get());
-        if (tag == EOF)
+        char tag = 0;
+        if (!in.read(&tag, 1))
             return true; // clean end: file stops at a record boundary
-        if (tag == nameTag) {
-            std::uint32_t id = 0;
-            std::uint32_t len = 0;
-            if (!readValue(file.get(), &id) ||
-                !readValue(file.get(), &len)) {
-                return tail();
-            }
-            if (len > (1u << 20))
-                return fail(error, "corrupt stream: name length");
-            std::string name(len, '\0');
-            if (len &&
-                std::fread(name.data(), 1, len, file.get()) != len) {
-                return tail();
-            }
-            if (id != out->names.size())
-                return fail(error, "corrupt stream: name id order");
-            out->names.intern(name);
-        } else if (tag == eventTag) {
-            PackedEvent packed;
-            if (!readValue(file.get(), &packed))
+        if (tag == eventTag) {
+            PackedEvent packed{};
+            if (!in.read(&packed, sizeof(packed)))
                 return tail();
             Event event;
             if (!unpack(packed, &event))
-                return fail(error, "corrupt stream: bad event record");
+                return fail(error, "corrupt trace: bad event record");
+            if (event.nameId != noName &&
+                event.nameId >= out->names.size()) {
+                return fail(error,
+                            "corrupt trace: event seq " +
+                                std::to_string(event.seq) +
+                                " names id " +
+                                std::to_string(event.nameId) + " of " +
+                                std::to_string(out->names.size()));
+            }
             out->events.push_back(event);
+        } else if (tag == nameTag) {
+            std::uint32_t id = 0;
+            std::uint32_t len = 0;
+            if (!in.read(&id, sizeof(id)) || !in.read(&len, sizeof(len)))
+                return tail();
+            if (len > maxNameBytes)
+                return fail(error, "corrupt trace: name length");
+            std::string name(len, '\0');
+            if (!in.read(name.data(), len))
+                return tail();
+            if (id != out->names.size())
+                return fail(error, "corrupt trace: name id order");
+            out->names.intern(name);
         } else {
-            return fail(error, "corrupt stream: unknown record tag");
+            return fail(error, "corrupt trace: unknown record tag");
         }
     }
-}
-
-bool
-readAnyTrace(const std::string &path, LoadedTrace *out, bool *truncated,
-             std::string *error)
-{
-    if (truncated)
-        *truncated = false;
-    char magic[sizeof(traceMagic)] = {};
-    {
-        FileHandle file(std::fopen(path.c_str(), "rb"));
-        if (!file)
-            return fail(error, "cannot open " + path);
-        if (std::fread(magic, sizeof(magic), 1, file.get()) != 1)
-            return fail(error, path + " is not a PMDB trace (too short)");
-    }
-    if (std::memcmp(magic, traceMagic, sizeof(magic)) == 0)
-        return readTraceFile(path, out, error);
-    if (std::memcmp(magic, streamMagic, sizeof(magic)) == 0) {
-        return readTraceStream(path, out, truncated, error) &&
-               checkNameIds(*out, error);
-    }
-    return fail(error, path + " is not a PMDB trace (bad magic)");
 }
 
 } // namespace pmdb

@@ -5,29 +5,26 @@
  * Recorded event streams can be saved and re-loaded, enabling the
  * record-once / analyze-many workflow that post-mortem tools (Intel's
  * Persistence Inspector) use, offline characterization, and detector
- * regression testing against frozen traces.
+ * regression testing against frozen traces. The same format carries
+ * pmdbd's Spill policy: a slow consumer's client appends the live
+ * stream to a trace file that the daemon replays at session end.
  *
- * Format (little-endian, version 2):
- *   magic   "PMDBTRC2"                      (8 bytes)
- *   u32     name count                       + each: u32 len, bytes
- *   u64     event count                      + each: packed event
+ * Format (little-endian, append-only):
+ *   magic   "PMDBTRS2"                                        (8 bytes)
+ *   records, each a tag byte and its body:
+ *     'N'   u32 id, u32 len, len name bytes   (interned name)
+ *     'E'   packed event                      (48 bytes)
  *
  * A packed event holds every Event field, including the Load kind and
- * the shared-pool `global` clock ticket that version 2 added; version-1
- * files are rejected by magic.
+ * the shared-pool `global` clock ticket. Names carry ids in intern
+ * order (0, 1, 2, ...), and a writer appends a name before any event
+ * that references it, so a file is valid at every record boundary: a
+ * writer needs no event count up front, and a reader of a file cut
+ * mid-record (a crash, a kill) recovers the longest valid prefix.
  *
- * The batch format above needs the full event vector up front. The
- * *stream* format ("PMDBTRS2") is an append-only sibling for writers
- * that cannot know the final event count — live spill-to-disk under
- * backpressure, long-running recorders: a magic header followed by
- * tagged records ('N' interned name, 'E' packed event), flushable at
- * any record boundary. Because a crash can truncate the file
- * mid-record, readTraceStream recovers the longest valid prefix
- * instead of failing.
- *
- * Readers reject records no writer produces — an unknown event kind or
- * CLF, a range past the end of the address space — and a batch header
- * promising more events than the file holds.
+ * Readers reject records no writer produces — an unknown tag, event
+ * kind or CLF, a range past the end of the address space, a name out
+ * of order, an event naming an id not yet interned.
  */
 
 #ifndef PMDB_TRACE_TRACE_FILE_HH
@@ -51,29 +48,11 @@ struct LoadedTrace
 };
 
 /**
- * Write @p events (and @p names, which their nameIds index) to
- * @p path. Returns false and fills @p error on I/O failure.
- */
-bool writeTraceFile(const std::string &path,
-                    const std::vector<Event> &events,
-                    const NameTable &names,
-                    std::string *error = nullptr);
-
-/**
- * Load a trace written by writeTraceFile. Returns false and fills
- * @p error on I/O failure, format mismatch, a corrupt record, or an
- * event whose nameId is neither noName nor a loaded name.
- */
-bool readTraceFile(const std::string &path, LoadedTrace *out,
-                   std::string *error = nullptr);
-
-/**
- * Incremental writer for the stream trace format: events (and the
- * names they reference) are appended one record at a time, and flush()
- * makes everything written so far durable enough for a concurrent or
- * post-crash reader to recover it. This is the degradation path of the
- * detection service (a slow consumer spills the live stream to disk)
- * and works standalone for record-as-you-go tracing.
+ * Incremental trace writer: events (and the names they reference) are
+ * appended one record at a time, and flush() makes everything written
+ * so far durable enough for a concurrent or post-crash reader to
+ * recover it. Tools write recorded traces with it, and the detection
+ * service's slow-consumer client spills the live stream through it.
  */
 class TraceStreamWriter
 {
@@ -84,7 +63,7 @@ class TraceStreamWriter
     TraceStreamWriter(const TraceStreamWriter &) = delete;
     TraceStreamWriter &operator=(const TraceStreamWriter &) = delete;
 
-    /** Create/truncate @p path and write the stream header. */
+    /** Create/truncate @p path and write the header. */
     bool open(const std::string &path, std::string *error = nullptr);
 
     bool isOpen() const { return file_ != nullptr; }
@@ -121,29 +100,29 @@ class TraceStreamWriter
 };
 
 /**
- * Load a stream trace written by TraceStreamWriter. A truncated tail —
- * the writer crashed or was killed mid-record — is not an error: the
- * longest valid record prefix is returned and @p truncated (when
- * non-null) is set. Returns false only for I/O failures, a bad header,
- * or structural corruption (an unknown record tag, a corrupt event).
- * Event nameIds are not checked: a pmdbd spill file carries none of
- * the names, which reach the daemon over the control socket.
+ * Write every name of @p names, then @p events, to @p path through a
+ * TraceStreamWriter. Returns false and fills @p error on I/O failure.
  */
-bool readTraceStream(const std::string &path, LoadedTrace *out,
-                     bool *truncated = nullptr,
-                     std::string *error = nullptr);
+bool writeTraceFile(const std::string &path,
+                    const std::vector<Event> &events,
+                    const NameTable &names,
+                    std::string *error = nullptr);
 
 /**
- * Load a trace of either format, dispatching on the file's magic:
- * "PMDBTRC2" (batch) or "PMDBTRS2" (stream). For stream traces a
- * truncated tail sets @p truncated exactly as readTraceStream does;
- * batch traces never set it (a short batch file is a hard error, since
- * its header promised a count it cannot deliver). Both formats get
- * readTraceFile's nameId check.
+ * Load the trace at @p path into @p out, replacing out->events. Name
+ * records extend out->names, so a caller whose names travel separately
+ * (a pmdbd spill file carries none) seeds it first; every event's
+ * nameId must be noName or index out->names as it stands when the
+ * event is read.
+ *
+ * A truncated tail — the writer crashed or was killed mid-record — is
+ * not an error: the longest valid record prefix is kept and
+ * @p truncated (when non-null) is set. Returns false and fills
+ * @p error only for an unopenable file, a bad magic, or a corrupt
+ * record.
  */
-bool readAnyTrace(const std::string &path, LoadedTrace *out,
-                  bool *truncated = nullptr,
-                  std::string *error = nullptr);
+bool readTrace(const std::string &path, LoadedTrace *out,
+               bool *truncated = nullptr, std::string *error = nullptr);
 
 } // namespace pmdb
 

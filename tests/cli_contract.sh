@@ -56,26 +56,26 @@ expect 3 pmdb_modelcheck case no_such_case
 expect 3 pmdb_crossproc --case no_such_case
 expect 3 pmdb_tracetool record no_such_workload 10 "$scratch/c.trc"
 
-# Malformed trace files: bad input, not a crash. Each is a PMDBTRC2
-# batch trace with no names; an event record is 48 bytes (kind,
-# flushKind, 2 pad, thread, strand, nameId, addr, size, 4 pad, seq,
-# global), little-endian.
+# Malformed trace files: bad input, not a crash. Each is a PMDBTRS2
+# trace with no names; an event record is the tag 'E' and 48 bytes
+# (kind, flushKind, 2 pad, thread, strand, nameId, addr, size, 4 pad,
+# seq, global), little-endian.
 z4='\0\0\0\0'
-header() { # event-count bytes
-    printf "PMDBTRC2$z4$1"
-}
 event() { # kind byte, nameId bytes; addr 0x40, size 8, seq 1
-    printf "$1\\0\\0\\0$z4$z4$2\\100\\0\\0\\0$z4\\010\\0\\0\\0$z4"
+    printf "E$1\\0\\0\\0$z4$z4$2\\100\\0\\0\\0$z4\\010\\0\\0\\0$z4"
     printf "\\001\\0\\0\\0$z4$z4$z4"
 }
-header "\\0\\0\\0\\0\\0\\0\\0\\020" > "$scratch/count.trc"    # 2^60 events
-{ header "\\001\\0\\0\\0$z4"; event '\012' '\062\171\006\0'; } \
-    > "$scratch/name.trc"                  # RegisterPmem, nameId 424242
-{ header "\\001\\0\\0\\0$z4"; event '\310' '\377\377\377\377'; } \
+{ printf PMDBTRS2; event '\310' '\377\377\377\377'; } \
     > "$scratch/kind.trc"                  # kind byte 200
-expect 4 pmdb_tracetool info "$scratch/count.trc"
-expect 4 pmdb_tracetool replay "$scratch/name.trc" pmdebugger
+{ printf PMDBTRS2; event '\012' '\062\171\006\0'; } \
+    > "$scratch/name.trc"                  # RegisterPmem, nameId 424242
+{ printf PMDBTRS2; printf X; } > "$scratch/tag.trc" # unknown tag
+{ printf PMDBTRS2; event '\0' '\377\377\377\377'; printf 'E\0\0\0'; } \
+    > "$scratch/torn.trc"                  # one Store, then a cut record
 expect 4 pmdb_tracetool info "$scratch/kind.trc"
+expect 4 pmdb_tracetool replay "$scratch/name.trc" pmdebugger
+expect 4 pmdb_tracetool info "$scratch/tag.trc"
+expect 5 pmdb_tracetool info "$scratch/torn.trc"
 
 # Discovery succeeds.
 expect 0 pmdb_run --list

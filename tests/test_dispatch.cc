@@ -123,7 +123,8 @@ TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
 }
 
 RunSignature
-runWorkloadInMode(const std::string &name, DispatchMode mode)
+runWorkloadInMode(const std::string &name, DispatchMode mode,
+                  bool threadSafe = false)
 {
     auto workload = makeWorkload(name);
     PmRuntime runtime;
@@ -136,6 +137,7 @@ runWorkloadInMode(const std::string &name, DispatchMode mode)
     }()};
     runtime.attach(&tool);
     runtime.setDispatchMode(mode);
+    runtime.setThreadSafe(threadSafe);
 
     WorkloadOptions options;
     options.operations = 3000;
@@ -151,7 +153,8 @@ runWorkloadInMode(const std::string &name, DispatchMode mode)
  * A real data-structure workload (fence intervals, CLF patterns,
  * array/tree migration) reports identical stats in both modes —
  * including every ArrayStats counter, which proves the batched store
- * fast path performs exactly the per-event bookkeeping.
+ * fast path performs exactly the per-event bookkeeping — and under
+ * thread-safe (mutex-serialized) Batched dispatch.
  */
 TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
 {
@@ -159,6 +162,8 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
         runWorkloadInMode("b_tree", DispatchMode::PerEvent);
     const RunSignature bat =
         runWorkloadInMode("b_tree", DispatchMode::Batched);
+    const RunSignature safe =
+        runWorkloadInMode("b_tree", DispatchMode::Batched, true);
 
     EXPECT_GT(per.stores, 0u);
     EXPECT_EQ(per.array.recordsCollectivelyFreed,
@@ -166,6 +171,7 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
     EXPECT_EQ(per.array.maxUsage, bat.array.maxUsage);
     EXPECT_EQ(per.tree.insertions, bat.tree.insertions);
     EXPECT_TRUE(per == bat);
+    EXPECT_TRUE(per == safe);
 }
 
 TEST(DispatchPipeline, BatchedFlushesAtBoundary)

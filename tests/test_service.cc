@@ -481,6 +481,76 @@ TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
     daemon.stop();
 }
 
+TEST(ServiceTest, BadSpilledNameIdAbortsOnlyItsSession)
+{
+    ServiceConfig config;
+    config.socketPath = scratchPath("sock");
+    config.pool.shards = 2;
+    ServiceDaemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    const BugCase &clean = *casesOfType(BugType::NoDurability)[0];
+    ReportBody solo;
+    runRemote(clean, config.socketPath, SlowConsumerPolicy::Block, 1024,
+              &solo);
+
+    // The bad client floods a 16-slot ring until the Spill policy
+    // diverts the stream (spilling is sticky once it starts), then
+    // spills a RegisterPmem naming an id it never interned: the sink
+    // is attached to no runtime, so it sends no names at all.
+    bool badFinished = true;
+    std::thread bad([&] {
+        RemoteSink sink;
+        RemoteSink::Options options;
+        options.socketPath = config.socketPath;
+        options.ringPath = scratchPath("ring");
+        options.ringSlots = 16;
+        options.policy = SlowConsumerPolicy::Spill;
+        options.spillPath = scratchPath("spill");
+        std::string err;
+        ASSERT_TRUE(sink.connect(options, &err)) << err;
+        Event event;
+        event.kind = EventKind::Store;
+        event.size = 8;
+        for (SeqNum seq = 1; sink.spillEvents() == 0 && seq < 1000000;
+             ++seq) {
+            event.seq = seq;
+            event.addr = 0x1000 + 8 * (seq % 64);
+            sink.handle(event);
+        }
+        EXPECT_GT(sink.spillEvents(), 0u);
+        event.kind = EventKind::RegisterPmem;
+        event.nameId = 424242;
+        sink.handle(event);
+        ReportBody report;
+        badFinished = sink.finish(&report, &err);
+    });
+    ReportBody concurrent;
+    std::thread good([&] {
+        runRemote(clean, config.socketPath, SlowConsumerPolicy::Block,
+                  1024, &concurrent);
+    });
+    bad.join();
+    good.join();
+
+    EXPECT_FALSE(badFinished) << "an aborted session sends no report";
+    EXPECT_EQ(concurrent.serialize(), solo.serialize());
+
+    // The daemon is still up and serving.
+    ReportBody after;
+    runRemote(clean, config.socketPath, SlowConsumerPolicy::Block, 1024,
+              &after);
+    EXPECT_EQ(after.serialize(), solo.serialize());
+
+    EXPECT_TRUE(daemon.waitForSessions(4, 10000));
+    std::size_t aborted = 0;
+    for (const SessionSummary &session : daemon.summaries())
+        aborted += session.aborted ? 1 : 0;
+    EXPECT_EQ(aborted, 1u);
+    daemon.stop();
+}
+
 TEST(ServiceTest, MultiStripeStreamShardsByAddressRange)
 {
     // Small stripes force a single session's stores across all three

@@ -65,7 +65,10 @@ TEST(TraceFileTest, RoundTripPreservesEverything)
         << error;
 
     LoadedTrace loaded;
-    ASSERT_TRUE(readTraceFile(path.str(), &loaded, &error)) << error;
+    bool truncated = true;
+    ASSERT_TRUE(readTrace(path.str(), &loaded, &truncated, &error))
+        << error;
+    EXPECT_FALSE(truncated);
     ASSERT_EQ(loaded.events.size(), recorder.events().size());
     for (std::size_t i = 0; i < loaded.events.size(); ++i) {
         const Event &a = recorder.events()[i];
@@ -78,6 +81,7 @@ TEST(TraceFileTest, RoundTripPreservesEverything)
         EXPECT_EQ(a.addr, b.addr) << i;
         EXPECT_EQ(a.size, b.size) << i;
         EXPECT_EQ(a.seq, b.seq) << i;
+        EXPECT_EQ(a.global, b.global) << i;
     }
     EXPECT_EQ(loaded.names.size(), 1u);
     EXPECT_EQ(loaded.names.name(0), "var.a");
@@ -93,7 +97,7 @@ TEST(TraceFileTest, RejectsBadMagic)
 
     LoadedTrace loaded;
     std::string error;
-    EXPECT_FALSE(readTraceFile(path.str(), &loaded, &error));
+    EXPECT_FALSE(readTrace(path.str(), &loaded, nullptr, &error));
     EXPECT_NE(error.find("magic"), std::string::npos);
 }
 
@@ -101,8 +105,8 @@ TEST(TraceFileTest, MissingFileFailsGracefully)
 {
     LoadedTrace loaded;
     std::string error;
-    EXPECT_FALSE(readTraceFile("/nonexistent/dir/x.trc", &loaded,
-                               &error));
+    EXPECT_FALSE(readTrace("/nonexistent/dir/x.trc", &loaded, nullptr,
+                           &error));
     EXPECT_FALSE(error.empty());
 }
 
@@ -129,7 +133,7 @@ TEST(TraceFileTest, ReplayFindsSameBugsAsLiveRun)
                                runtime.names(), &error))
         << error;
     LoadedTrace loaded;
-    ASSERT_TRUE(readTraceFile(path.str(), &loaded, &error)) << error;
+    ASSERT_TRUE(readTrace(path.str(), &loaded, nullptr, &error)) << error;
 
     auto replayed = makeDetector("pmemcheck");
     replayed->attached(loaded.names);
@@ -171,7 +175,7 @@ TEST(TraceStreamTest, RoundTripWithInterleavedNames)
 
     LoadedTrace loaded;
     bool truncated = true;
-    ASSERT_TRUE(readTraceStream(path.str(), &loaded, &truncated, &error))
+    ASSERT_TRUE(readTrace(path.str(), &loaded, &truncated, &error))
         << error;
     EXPECT_FALSE(truncated);
     ASSERT_EQ(loaded.events.size(), recorder.events().size());
@@ -216,7 +220,7 @@ TEST(TraceStreamTest, RecoversTruncatedTail)
 
     LoadedTrace loaded;
     bool truncated = false;
-    ASSERT_TRUE(readTraceStream(path.str(), &loaded, &truncated, &error))
+    ASSERT_TRUE(readTrace(path.str(), &loaded, &truncated, &error))
         << error;
     EXPECT_TRUE(truncated);
     // The partial final record is dropped; everything before survives.
@@ -225,76 +229,43 @@ TEST(TraceStreamTest, RecoversTruncatedTail)
     EXPECT_EQ(loaded.names.size(), 1u);
 }
 
-TEST(TraceStreamTest, RejectsBatchFormatMagic)
+TEST(TraceFileTest, RecordedTraceRecoversTruncatedTail)
 {
-    // A batch-format trace is not a stream trace; the reader must say
-    // so instead of misparsing it.
+    // A recorded trace cut mid-record (the recorder was killed) loads
+    // its longest valid prefix, names included, like a spill file.
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.store(0x100, 8);
-    TempPath path("batch.trc");
+    runtime.registerPmem("var.a", 0x200, 40);
+    for (int i = 0; i < 5; ++i)
+        runtime.store(0x200 + 8u * static_cast<unsigned>(i), 8);
+    TempPath path("recorded_truncated.trc");
     std::string error;
     ASSERT_TRUE(writeTraceFile(path.str(), recorder.events(),
-                               runtime.names(), &error));
-    LoadedTrace loaded;
-    EXPECT_FALSE(readTraceStream(path.str(), &loaded, nullptr, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos);
-}
-
-TEST(TraceAnyTest, DispatchesOnMagicAndReportsTruncation)
-{
-    // Batch trace through the magic-dispatching entry point.
-    PmRuntime runtime;
-    TraceRecorder recorder;
-    runtime.attach(&recorder);
-    runtime.store(0x100, 8);
-    runtime.programEnd();
-    TempPath batch("any_batch.trc");
-    std::string error;
-    ASSERT_TRUE(writeTraceFile(batch.str(), recorder.events(),
-                               runtime.names(), &error));
-    LoadedTrace loaded;
-    bool truncated = true;
-    ASSERT_TRUE(readAnyTrace(batch.str(), &loaded, &truncated, &error))
+                               runtime.names(), &error))
         << error;
-    EXPECT_FALSE(truncated);
-    EXPECT_EQ(loaded.events.size(), 2u);
-
-    // Stream trace chopped mid-record: same entry point, truncation
-    // surfaced through the flag.
-    TempPath stream("any_truncated.trs");
-    TraceStreamWriter writer;
-    ASSERT_TRUE(writer.open(stream.str(), &error)) << error;
-    for (int i = 0; i < 5; ++i) {
-        Event event;
-        event.kind = EventKind::Store;
-        event.addr = 0x200 + 8u * static_cast<unsigned>(i);
-        event.size = 8;
-        event.seq = static_cast<SeqNum>(i + 1);
-        ASSERT_TRUE(writer.append(event));
-    }
-    ASSERT_TRUE(writer.close());
-    const auto full = std::filesystem::file_size(stream.str());
+    const auto full = std::filesystem::file_size(path.str());
     std::error_code ec;
-    std::filesystem::resize_file(stream.str(), full - 3, ec);
+    std::filesystem::resize_file(path.str(), full - 3, ec);
     ASSERT_FALSE(ec) << ec.message();
 
     LoadedTrace recovered;
-    truncated = false;
-    ASSERT_TRUE(
-        readAnyTrace(stream.str(), &recovered, &truncated, &error))
+    bool truncated = false;
+    ASSERT_TRUE(readTrace(path.str(), &recovered, &truncated, &error))
         << error;
     EXPECT_TRUE(truncated);
-    EXPECT_EQ(recovered.events.size(), 4u);
+    EXPECT_EQ(recovered.events.size(), 5u);
+    ASSERT_EQ(recovered.names.size(), 1u);
+    EXPECT_EQ(recovered.names.name(0), "var.a");
 
     // Garbage is rejected, not misparsed.
-    TempPath junk("any_junk.bin");
+    TempPath junk("junk.bin");
     std::FILE *file = std::fopen(junk.str().c_str(), "wb");
     ASSERT_NE(file, nullptr);
     std::fputs("notatrace!", file);
     std::fclose(file);
-    EXPECT_FALSE(readAnyTrace(junk.str(), &loaded, nullptr, &error));
+    LoadedTrace loaded;
+    EXPECT_FALSE(readTrace(junk.str(), &loaded, nullptr, &error));
     EXPECT_NE(error.find("magic"), std::string::npos);
 }
 
@@ -326,39 +297,18 @@ corruptEvents()
 
 TEST(TraceFileTest, RejectsCorruptEventRecords)
 {
+    NameTable names;
+    names.intern("var.a");
     for (const auto &[what, event] : corruptEvents()) {
         TempPath path("corrupt.trc");
         std::string error;
-        ASSERT_TRUE(writeTraceFile(path.str(), {event}, NameTable(),
-                                   &error))
+        ASSERT_TRUE(writeTraceFile(path.str(), {event}, names, &error))
             << error;
         LoadedTrace loaded;
-        EXPECT_FALSE(readAnyTrace(path.str(), &loaded, nullptr, &error))
+        EXPECT_FALSE(readTrace(path.str(), &loaded, nullptr, &error))
             << what;
         EXPECT_NE(error.find("corrupt"), std::string::npos) << what;
     }
-}
-
-TEST(TraceFileTest, RejectsEventCountBeyondFileSize)
-{
-    Event event;
-    event.kind = EventKind::Fence;
-    TempPath path("oversized.trc");
-    std::string error;
-    ASSERT_TRUE(writeTraceFile(path.str(), {event}, NameTable(), &error))
-        << error;
-    // With no names the u64 event count follows the magic and the u32
-    // name count.
-    std::FILE *file = std::fopen(path.str().c_str(), "r+b");
-    ASSERT_NE(file, nullptr);
-    const std::uint64_t claimed = 1ull << 60;
-    ASSERT_EQ(std::fseek(file, 12, SEEK_SET), 0);
-    ASSERT_EQ(std::fwrite(&claimed, sizeof(claimed), 1, file), 1u);
-    std::fclose(file);
-
-    LoadedTrace loaded;
-    EXPECT_FALSE(readTraceFile(path.str(), &loaded, &error));
-    EXPECT_NE(error.find("claims"), std::string::npos) << error;
 }
 
 TEST(TraceStreamTest, RejectsCorruptEventRecords)
@@ -368,12 +318,64 @@ TEST(TraceStreamTest, RejectsCorruptEventRecords)
         TraceStreamWriter writer;
         std::string error;
         ASSERT_TRUE(writer.open(path.str(), &error)) << error;
+        // A corrupt record after valid ones is corruption, not a tail.
+        ASSERT_TRUE(writer.append(Event{}));
         ASSERT_TRUE(writer.append(event));
         ASSERT_TRUE(writer.close());
         LoadedTrace loaded;
-        EXPECT_FALSE(readAnyTrace(path.str(), &loaded, nullptr, &error))
+        EXPECT_FALSE(readTrace(path.str(), &loaded, nullptr, &error))
             << what;
         EXPECT_NE(error.find("corrupt"), std::string::npos) << what;
+    }
+}
+
+TEST(TraceFileTest, RejectsCorruptNameAndTagRecords)
+{
+    const auto rejects = [](const std::string &bytes) {
+        TempPath path("corrupt_record.trc");
+        std::FILE *file = std::fopen(path.str().c_str(), "wb");
+        if (!file)
+            return false;
+        std::fwrite("PMDBTRS2", 1, 8, file);
+        std::fwrite(bytes.data(), 1, bytes.size(), file);
+        std::fclose(file);
+        LoadedTrace loaded;
+        std::string error;
+        return !readTrace(path.str(), &loaded, nullptr, &error) &&
+               error.find("corrupt") != std::string::npos;
+    };
+    const std::string z4("\0\0\0\0", 4);
+    EXPECT_TRUE(rejects("X")) << "unknown tag";
+    EXPECT_TRUE(rejects("N" + std::string("\1\0\0\0", 4) + z4))
+        << "name id 1 before id 0";
+    EXPECT_TRUE(rejects("N" + z4 + std::string("\0\0\0\1", 4)))
+        << "16 MiB name";
+}
+
+TEST(TraceFileTest, SeededNamesCoverEventsOfANamelessFile)
+{
+    // A pmdbd spill file carries no names: the daemon seeds the ones
+    // its session interned, and only those may be referenced.
+    NameTable session;
+    session.intern("var.a");
+    session.intern("var.b");
+    for (const std::uint32_t id : {1u, 2u}) {
+        TempPath path("nameless.trs");
+        TraceStreamWriter writer;
+        std::string error;
+        ASSERT_TRUE(writer.open(path.str(), &error)) << error;
+        Event event;
+        event.kind = EventKind::RegisterPmem;
+        event.nameId = id;
+        event.addr = 0x40;
+        event.size = 8;
+        ASSERT_TRUE(writer.append(event));
+        ASSERT_TRUE(writer.close());
+        LoadedTrace loaded;
+        loaded.names = session;
+        EXPECT_EQ(readTrace(path.str(), &loaded, nullptr, &error),
+                  id < session.size())
+            << "name id " << id << ": " << error;
     }
 }
 

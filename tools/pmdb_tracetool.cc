@@ -19,7 +19,7 @@
  *
  * Exit codes: 0 success, 2 usage error, 3 unknown workload/checker/case
  * name, 4 unreadable or corrupt trace file, 5 trace loaded but its
- * stream tail was truncated (info only; the longest valid prefix was
+ * tail was truncated (info only; the longest valid prefix was
  * recovered), 6 no verified repair / target bug not reproduced. The
  * failing file or name is printed to stderr. (pmdb_advise extends the
  * family with 7: corpus ran but no advisory cleared the confidence
@@ -69,10 +69,10 @@ usage(const char *argv0)
 }
 
 /**
- * Load a trace of either format or fail with exitBadTrace, naming the
- * file. A recovered-but-truncated stream is usable (the longest valid
- * prefix), so it loads with a warning; `info` surfaces the flag and its
- * own exit code.
+ * Load a trace or fail with exitBadTrace, naming the file. A
+ * recovered-but-truncated trace is usable (the longest valid prefix),
+ * so it loads with a warning; `info` surfaces the flag and its own
+ * exit code.
  */
 bool
 loadTrace(const char *path, pmdb::LoadedTrace *trace,
@@ -80,13 +80,13 @@ loadTrace(const char *path, pmdb::LoadedTrace *trace,
 {
     std::string error;
     bool torn = false;
-    if (!pmdb::readAnyTrace(path, trace, &torn, &error)) {
+    if (!pmdb::readTrace(path, trace, &torn, &error)) {
         std::fprintf(stderr, "%s: %s\n", path, error.c_str());
         return false;
     }
     if (torn && !truncated) {
         std::fprintf(stderr,
-                     "%s: warning: stream trace truncated mid-record; "
+                     "%s: warning: trace truncated mid-record; "
                      "using the recovered prefix (%zu events)\n",
                      path, trace->events.size());
     }
@@ -280,7 +280,7 @@ cmdInfo(int argc, char **argv)
     std::printf("  truncated      %s\n", truncated ? "yes" : "no");
     if (truncated) {
         std::fprintf(stderr,
-                     "%s: stream trace truncated mid-record; the "
+                     "%s: trace truncated mid-record; the "
                      "counts above cover the recovered prefix\n",
                      argv[2]);
         return cli::exitTruncated;
