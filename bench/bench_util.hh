@@ -113,20 +113,6 @@ class BenchJson : public JsonWriter
     std::string name_;
 };
 
-/**
- * Detector runs use Batched dispatch, the production configuration,
- * whose results are bit-identical to per-event dispatch
- * (tests/test_dispatch.cc). PMTest's annotation checkers and
- * XFDetector's cross-failure verifiers query sink/device state
- * synchronously between events, so those tools stay on per-event
- * dispatch (see their headers).
- */
-inline bool
-detectorSupportsBatching(const std::string &detector_name)
-{
-    return detector_name != "pmtest" && detector_name != "xfdetector";
-}
-
 /** One timed run of @p workload under @p detector ("" = native). */
 struct BenchRun
 {
@@ -138,8 +124,7 @@ struct BenchRun
 inline BenchRun
 runWorkload(const std::string &workload_name,
             const std::string &detector_name, std::size_t ops,
-            int threads = 1, std::uint64_t seed = 42,
-            DispatchMode mode = DispatchMode::Batched)
+            int threads = 1, std::uint64_t seed = 42)
 {
     auto workload = makeWorkload(workload_name);
     if (!workload)
@@ -158,8 +143,6 @@ runWorkload(const std::string &workload_name,
         if (!detector)
             fatal("bench: unknown detector " + detector_name);
         runtime.attach(detector.get());
-        if (detectorSupportsBatching(detector_name))
-            runtime.setDispatchMode(mode);
     }
 
     WorkloadOptions options;

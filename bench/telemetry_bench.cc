@@ -51,7 +51,6 @@ runMicro(std::size_t fence_intervals)
     const auto debugger = makeDetector("pmdebugger", DebuggerConfig{});
     runtime.attach(debugger.get());
     runtime.setThreadSafe(true);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     Stopwatch watch;
     Addr base = 0;

@@ -6,9 +6,9 @@
  * The session snapshots the device's durable image once at adoption
  * (the baseline) and from then on mirrors the pending-writeback queue
  * incrementally from the device's onLineQueued()/onBoundary()
- * callbacks — O(1) per CLF-touched line, never O(pool size). Because
- * the device is a synchronous sink, the captured log is bit-identical
- * under PerEvent and Batched dispatch.
+ * callbacks — O(1) per CLF-touched line, never O(pool size). The
+ * device is a synchronous sink, so the log sees every event inline,
+ * whatever other sinks batch.
  *
  * The log is self-contained: exploration (explore.hh) runs after the
  * pool, device and runtime are destroyed. Verifiers registered here

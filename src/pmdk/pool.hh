@@ -107,9 +107,9 @@ class PmemPool
     /**
      * Allocate @p size bytes of zeroed persistent memory. The block
      * header update is persisted (store + CLWB + SFENCE), as PMDK's
-     * atomic allocations are.
+     * atomic allocations are. The events carry the calling @p thread.
      */
-    Addr alloc(std::size_t size);
+    Addr alloc(std::size_t size, ThreadId thread = 0);
 
     template <typename T>
     Pptr<T>
@@ -207,7 +207,8 @@ class PmemPool
     friend class TxRecovery;
 
     Addr allocInternal(std::size_t size, bool fence_after,
-                       bool flush_data, std::size_t *block_out = nullptr);
+                       bool flush_data, std::size_t *block_out,
+                       ThreadId thread);
 
     struct BlockHeader
     {

@@ -87,8 +87,8 @@ struct ServiceDaemon::ActiveSession
     EventRing ring;
     ByeBody bye;
     bool sawBye = false;
-    /** Names acked over the control socket; spilled events may only
-     *  reference these (a spill file carries no names). */
+    /** Names acked over the control socket; ring and spilled events
+     *  may only reference these (a spill file carries no names). */
     NameTable names;
     std::vector<BugReport> external;
     /** Routed events awaiting queue space (backpressure). */
@@ -380,7 +380,7 @@ ServiceDaemon::aggregatedJson() const
     const IngestStats ingest = ingestStats();
     JsonWriter out;
     out.beginObject()
-        .field("schema", 2)
+        .field("schema", 3)
         .field("shards", pool_.shardCount())
         .field("stripe_bytes", pool_.stripeBytes())
         .field("straddles", pool_.straddleCount())
@@ -412,7 +412,6 @@ ServiceDaemon::aggregatedJson() const
         out.beginObject()
             .field("id", session.id)
             .field("events", session.eventsProcessed)
-            .field("dropped", session.eventsDropped)
             .field("spill_replayed", session.spillReplayed)
             .field("batches_drained", session.batchesDrained)
             .field("queue_full_stalls", session.queueFullStalls)
@@ -587,6 +586,14 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
         return finishHandshake(session);
 
     bool progressed = false;
+    // Client input no runtime produces ends this session only, with
+    // the reason logged; the other sessions never see it.
+    const auto reject = [&](const std::string &why) {
+        warn("pmdbd/poller", why + "; aborting session " +
+             std::to_string(session.id));
+        beginClose(sp, /*aborted=*/true);
+        return true;
+    };
 
     // 1. Control plane: names, client-side bug reports, Bye.
     while (!session.sawBye && readable(session.fd, 0)) {
@@ -619,10 +626,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 // A truncated Bye would silently zero the spill
                 // accounting and drop the spilled tail from the
                 // report; treat the session as aborted instead.
-                warn("pmdbd/poller", "malformed Bye; aborting session " +
-                     std::to_string(session.id));
-                beginClose(sp, /*aborted=*/true);
-                return true;
+                return reject("malformed Bye");
             }
             session.sawBye = true;
             break;
@@ -644,6 +648,18 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
     if (session.pending.empty()) {
         const std::size_t popped = session.ring.popBatch(
             session.scratch.data(), session.scratch.size());
+        if (session.ring.corrupt())
+            return reject("ring head ran past its slots");
+        // Events may only name ids this session's client interned
+        // (and saw acked) before publishing them.
+        for (std::size_t i = 0; i < popped; ++i) {
+            const Event &event = session.scratch[i];
+            if (const char *why =
+                    malformedEvent(event, session.names.size())) {
+                return reject("ring event seq " +
+                              std::to_string(event.seq) + ": " + why);
+            }
+        }
         if (popped) {
             progressed = true;
             ++session.summary.batchesDrained;
@@ -717,11 +733,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 session.summary.eventsProcessed +=
                     spill.events.size();
             } else {
-                warn("pmdbd/poller", "cannot replay spill trace: " +
-                     error + "; aborting session " +
-                     std::to_string(session.id));
-                beginClose(sp, /*aborted=*/true);
-                return true;
+                return reject("cannot replay spill trace: " + error);
             }
         }
         beginClose(sp, /*aborted=*/false);
@@ -736,7 +748,6 @@ ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
 {
     ActiveSession &session = *sp;
     session.phase = ActiveSession::Phase::Closing;
-    session.summary.eventsDropped = session.ring.droppedCount();
     session.summary.aborted = aborted;
     // Every event of this session has been fed by now (feeds and this
     // close run on the same poller); when this is the group's last

@@ -69,6 +69,8 @@ struct SessionSummary
     /** Merged per-session verdict (bugs + stats). */
     SessionVerdict verdict;
     std::uint64_t eventsProcessed = 0;
+    /** Always 0: no policy loses events. Kept because perfbench/
+     *  reads it. */
     std::uint64_t eventsDropped = 0;
     std::uint64_t spillReplayed = 0;
     /** Ring frames drained by the poller. */
@@ -77,8 +79,8 @@ struct SessionSummary
     std::uint64_t queueFullStalls = 0;
     /** Welcome-to-report wall time. */
     double seconds = 0.0;
-    /** Client vanished before Bye, or its spill trace was rejected;
-     *  no report was sent. */
+    /** Client vanished before Bye, or sent events (ring or spill) or a
+     *  ring cursor no runtime produces; no report was sent. */
     bool aborted = false;
 };
 

@@ -8,7 +8,6 @@ toString(SlowConsumerPolicy policy)
 {
     switch (policy) {
       case SlowConsumerPolicy::Block: return "block";
-      case SlowConsumerPolicy::Drop:  return "drop";
       case SlowConsumerPolicy::Spill: return "spill";
     }
     return "?";
@@ -19,8 +18,6 @@ parseSlowConsumerPolicy(const std::string &name, SlowConsumerPolicy *out)
 {
     if (name == "block")
         *out = SlowConsumerPolicy::Block;
-    else if (name == "drop")
-        *out = SlowConsumerPolicy::Drop;
     else if (name == "spill")
         *out = SlowConsumerPolicy::Spill;
     else

@@ -75,8 +75,6 @@ enum class SlowConsumerPolicy : std::uint32_t
 {
     /** Wait (yield/sleep) until the consumer frees a slot. */
     Block = 0,
-    /** Discard the event and count it in the ring's drop counter. */
-    Drop = 1,
     /**
      * Divert to an append-only stream trace file. Once the first event
      * spills, *all* subsequent events spill too, so the daemon can
@@ -88,7 +86,7 @@ enum class SlowConsumerPolicy : std::uint32_t
 
 const char *toString(SlowConsumerPolicy policy);
 
-/** Parse a policy name (block|drop|spill). */
+/** Parse a policy name (block|spill). */
 bool parseSlowConsumerPolicy(const std::string &name,
                              SlowConsumerPolicy *out);
 
@@ -214,7 +212,8 @@ struct ReportBody
     std::vector<BugReport> bugs;
     /** Events the daemon consumed (ring + spill replay). */
     std::uint64_t eventsProcessed = 0;
-    /** Events lost to the Drop policy. */
+    /** Always 0: no policy loses events. Kept because perfbench/
+     *  reads it. */
     std::uint64_t eventsDropped = 0;
     /** Ready-to-print JSON document (reportToJson shape). */
     std::string json;

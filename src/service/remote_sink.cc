@@ -35,8 +35,6 @@ struct SinkMetrics
         telemetry::Registry::global().counter("client.sink.events");
     telemetry::Counter &spilled =
         telemetry::Registry::global().counter("client.sink.spilled");
-    telemetry::Counter &droppedEvents =
-        telemetry::Registry::global().counter("client.sink.dropped");
     telemetry::Histogram &publishNs =
         telemetry::Registry::global().histogram("client.sink.publish_ns");
     telemetry::Histogram &blockStallNs = telemetry::Registry::global()
@@ -100,7 +98,7 @@ RemoteSink::connect(const Options &options, std::string *error)
     WireReader in(payload);
     session_ = in.get<std::uint32_t>();
     namesSent_ = 0;
-    pushed_ = spilled_ = dropped_ = frames_ = 0;
+    pushed_ = spilled_ = frames_ = 0;
     spilling_ = false;
     dead_ = false;
     // Events reach the ring in frames of up to defaultBatchCapacity,
@@ -213,13 +211,6 @@ RemoteSink::flushBatch()
             }
             break;
           }
-          case SlowConsumerPolicy::Drop:
-            for (std::size_t i = 0; i < remaining; ++i)
-                ring_.countDrop();
-            dropped_ += remaining;
-            if (telemetryOn)
-                SinkMetrics::get().droppedEvents.add(remaining);
-            break;
           case SlowConsumerPolicy::Spill:
             spilling_ = true;
             spill_.flush();

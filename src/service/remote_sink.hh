@@ -103,7 +103,6 @@ class RemoteSink : public TraceSink
 
     std::uint64_t ringEvents() const { return pushed_; }
     std::uint64_t spillEvents() const { return spilled_; }
-    std::uint64_t droppedEvents() const { return dropped_; }
     /** Batch frames published into the ring. */
     std::uint64_t ringFrames() const { return frames_; }
 
@@ -123,7 +122,6 @@ class RemoteSink : public TraceSink
     std::uint32_t namesSent_ = 0;
     std::uint64_t pushed_ = 0;
     std::uint64_t spilled_ = 0;
-    std::uint64_t dropped_ = 0;
     std::uint64_t frames_ = 0;
     /** Once spilling starts, everything spills (order preservation). */
     bool spilling_ = false;

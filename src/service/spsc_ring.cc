@@ -68,7 +68,6 @@ EventRing::create(const std::string &path, std::uint32_t slots,
     header_->slots = slots;
     header_->head.store(0, std::memory_order_relaxed);
     header_->tail.store(0, std::memory_order_relaxed);
-    header_->dropped.store(0, std::memory_order_relaxed);
     header_->lastPublishNs.store(0, std::memory_order_relaxed);
     header_->producerDone.store(0, std::memory_order_release);
     slotsBase_ = reinterpret_cast<Event *>(
@@ -178,6 +177,12 @@ EventRing::popBatch(Event *out, std::size_t max)
         if (cachedHead_ == tail)
             return 0;
     }
+    if (corrupt_ || cachedHead_ - tail > slots_) {
+        // More published than the ring holds: the producer forged its
+        // cursor, and copying that many would read past the slots.
+        corrupt_ = true;
+        return 0;
+    }
     std::size_t count = static_cast<std::size_t>(cachedHead_ - tail);
     if (count > max)
         count = max;
@@ -213,18 +218,6 @@ bool
 EventRing::producerDone() const
 {
     return header_->producerDone.load(std::memory_order_acquire) != 0;
-}
-
-void
-EventRing::countDrop()
-{
-    header_->dropped.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-EventRing::droppedCount() const
-{
-    return header_->dropped.load(std::memory_order_relaxed);
 }
 
 void

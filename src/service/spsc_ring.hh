@@ -37,9 +37,14 @@
  * Backpressure is credit-based: the `slots` free entries are the
  * producer's credits. tryPushBatch publishes the largest prefix that
  * fits (whole batch in the common case) and reports how many events
- * it accepted; the producer applies its SlowConsumerPolicy (block,
- * drop + count, or spill to a stream trace file) to the remainder —
- * the ring itself never blocks.
+ * it accepted; the producer applies its SlowConsumerPolicy (block, or
+ * spill to a stream trace file) to the remainder — the ring itself
+ * never blocks.
+ *
+ * The producer is an untrusted client that can write the whole
+ * mapping, head included. popBatch therefore never copies more than
+ * `slots` events, and a head more than `slots` ahead of tail marks the
+ * ring corrupt for good.
  *
  * Memory ordering: the producer's release store of head publishes the
  * slot contents; the consumer's acquire load of head observes them
@@ -59,8 +64,8 @@
 namespace pmdb
 {
 
-/** Magic identifying a mapped ring file (v3: publish timestamp). */
-constexpr char ringMagic[8] = {'P', 'M', 'D', 'B', 'R', 'N', 'G', '3'};
+/** Magic identifying a mapped ring file (v4: no drop counter). */
+constexpr char ringMagic[8] = {'P', 'M', 'D', 'B', 'R', 'N', 'G', '4'};
 
 /** Shared ring control block, at offset 0 of the mapping. */
 struct RingHeader
@@ -70,14 +75,12 @@ struct RingHeader
     std::uint32_t reserved = 0;
     /**
      * Producer-owned cache line: head is stored by the producer on
-     * every published frame; producerDone and dropped are low-rate
-     * producer-side state that can share its line without adding
-     * coherence traffic on the consumer's hot path.
+     * every published frame; lastPublishNs and producerDone are
+     * low-rate producer-side state that can share its line without
+     * adding coherence traffic on the consumer's hot path.
      */
     /** Next sequence the producer will write (monotonic). */
     alignas(64) std::atomic<std::uint64_t> head;
-    /** Events discarded under SlowConsumerPolicy::Drop. */
-    std::atomic<std::uint64_t> dropped;
     /**
      * CLOCK_MONOTONIC ns of the most recent published frame (same-host
      * clocks are comparable across processes). The consumer subtracts
@@ -139,9 +142,12 @@ class EventRing
     /**
      * Consumer: drain up to @p max published events into @p out as one
      * frame (one acquire of head, one release of tail). Returns the
-     * number drained.
+     * number drained; 0 from then on once the ring is corrupt().
      */
     std::size_t popBatch(Event *out, std::size_t max);
+
+    /** Consumer: the producer's head ran more than slots() past tail. */
+    bool corrupt() const { return corrupt_; }
 
     /** Consumer: pop up to @p max events; returns the number popped. */
     std::size_t tryPop(Event *out, std::size_t max)
@@ -159,11 +165,6 @@ class EventRing
 
     bool producerDone() const;
 
-    /** Producer: count one event discarded under the Drop policy. */
-    void countDrop();
-
-    std::uint64_t droppedCount() const;
-
     /** Producer: stamp the publish time of the frame just pushed. */
     void stampPublish(std::uint64_t ns);
 
@@ -179,6 +180,7 @@ class EventRing
     std::uint64_t cachedTail_ = 0;
     /** Consumer-side cache of the producer's head. */
     std::uint64_t cachedHead_ = 0;
+    bool corrupt_ = false;
     std::string path_;
     bool owner_ = false;
 };

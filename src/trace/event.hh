@@ -14,6 +14,7 @@
 #ifndef PMDB_TRACE_EVENT_HH
 #define PMDB_TRACE_EVENT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -121,6 +122,14 @@ const char *toString(EventKind kind);
 
 /** Human-readable CLF mnemonic. */
 const char *toString(FlushKind kind);
+
+/**
+ * Why no PmRuntime could have emitted @p event, or nullptr if one
+ * could: an unknown kind or CLF, a range that wraps the address space,
+ * or a name id outside the @p name_count names interned so far.
+ * readTrace and pmdbd's ring drain check untrusted events with it.
+ */
+const char *malformedEvent(const Event &event, std::size_t name_count);
 
 } // namespace pmdb
 

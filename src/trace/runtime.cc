@@ -1,6 +1,7 @@
 #include "trace/runtime.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -14,14 +15,11 @@ namespace
 /**
  * Dispatch-path metrics, resolved once. Only per-batch work touches
  * the histogram (never per event), and it carries the whole story:
- * client.batch_fill's sum is the events dispatched and its count the
- * batches flushed. The events counter backs the per-event dispatch
- * mode only, where each event already pays a full clean-call charge.
+ * client.batch_fill's sum is the events batched and its count the
+ * batches flushed.
  */
 struct DispatchMetrics
 {
-    telemetry::Counter &events =
-        telemetry::Registry::global().counter("client.events_dispatched");
     telemetry::Histogram &batchFill =
         telemetry::Registry::global().histogram("client.batch_fill");
 
@@ -107,6 +105,20 @@ toString(FlushKind kind)
     return "unknown";
 }
 
+const char *
+malformedEvent(const Event &event, std::size_t name_count)
+{
+    if (event.kind > EventKind::ProgramEnd)
+        return "unknown event kind";
+    if (event.flushKind > FlushKind::Clflushopt)
+        return "unknown flush kind";
+    if (event.addr > std::numeric_limits<Addr>::max() - event.size)
+        return "range wraps the address space";
+    if (event.nameId != noName && event.nameId >= name_count)
+        return "name id never interned";
+    return nullptr;
+}
+
 std::uint32_t
 NameTable::intern(const std::string &name)
 {
@@ -128,6 +140,10 @@ NameTable::name(std::uint32_t id) const
 }
 
 PmRuntime::PmRuntime()
+    : id_([] {
+          static std::atomic<std::uint64_t> next{1};
+          return next.fetch_add(1, std::memory_order_relaxed);
+      }())
 {
     for (auto &strand : strandByThread_)
         strand.store(noStrand, std::memory_order_relaxed);
@@ -135,31 +151,18 @@ PmRuntime::PmRuntime()
 
 PmRuntime::~PmRuntime()
 {
-    // Deliver anything still buffered so no mode loses events.
+    // Deliver anything still buffered so no event is lost.
     drain();
-}
-
-void
-PmRuntime::setDispatchMode(DispatchMode mode)
-{
-    if (mode == mode_)
-        return;
-    drain();
-    mode_ = mode;
 }
 
 void
 PmRuntime::drain()
 {
-    if (mode_ == DispatchMode::PerEvent)
-        return;
     // Producers must be quiescent (threads joined) at drain points;
     // flush order across threads is arbitrary, like any cross-thread
     // interleaving.
-    for (auto &slot : threadBatches_) {
-        if (slot)
-            flushThreadBatch(*slot);
-    }
+    for (auto &entry : threadBatches_)
+        flushThreadBatch(*entry.second);
     if (threadSafe_) {
         std::lock_guard<std::mutex> lock(mutex_);
         flushLocked();
@@ -179,8 +182,6 @@ PmRuntime::attach(TraceSink *sink)
         panic("PmRuntime::attach: null sink");
     drain();
     sinks_.push_back(sink);
-    if (sink->isDbiBased())
-        ++dbiSinks_;
     rebuildPartition();
     sink->attached(names_);
 }
@@ -192,8 +193,6 @@ PmRuntime::detach(TraceSink *sink)
     const auto it = std::find(sinks_.begin(), sinks_.end(), sink);
     if (it == sinks_.end())
         return;
-    if (sink->isDbiBased())
-        --dbiSinks_;
     sinks_.erase(it);
     rebuildPartition();
 }
@@ -234,7 +233,7 @@ PmRuntime::dbiSpin(std::uint32_t units)
 void
 PmRuntime::appOp(std::uint32_t weight)
 {
-    if (dbiSinks_ > 0)
+    if (dbiBatchSinks_ + dbiSyncSinks_ > 0)
         dbiSpin(weight * dbiOpCost_);
 }
 
@@ -257,7 +256,7 @@ PmRuntime::deliver(const Event *events, std::size_t count)
 {
     if (count == 0)
         return;
-    // Buffered-instrumentation cost model: batched dispatch pays one
+    // Buffered-instrumentation cost model: batching sinks pay one
     // clean-call charge per drained buffer (the per-event append tax
     // was already charged at enqueue).
     if (dbiBatchSinks_ > 0)
@@ -278,6 +277,20 @@ PmRuntime::flushLocked()
 }
 
 void
+PmRuntime::deliverSync(const Event &event)
+{
+    // Sinks coupled synchronously to the application (the device
+    // model, annotation checkers, cross-failure verifiers) always see
+    // events inline, in dispatch order — deferring them would let
+    // program-side state run ahead of their view of the stream. Each
+    // event is a full clean call out of translated code.
+    if (dbiSyncSinks_ > 0)
+        dbiSpin(dbiEventCost_);
+    for (TraceSink *sink : syncSinks_)
+        sink->handle(event);
+}
+
+void
 PmRuntime::enqueueLocked(Event &event)
 {
     if (threadSafe_) {
@@ -288,27 +301,10 @@ PmRuntime::enqueueLocked(Event &event)
     } else {
         event.seq = ++seq_;
     }
-    if (mode_ == DispatchMode::PerEvent) {
-        // Unbuffered instrumentation: every event is a full clean call
-        // out of translated code.
-        if (dbiSinks_ > 0)
-            dbiSpin(dbiEventCost_);
-        if (telemetry::enabled())
-            DispatchMetrics::get().events.add(1);
-        for (TraceSink *sink : sinks_)
-            sink->handle(event);
+    if (!syncSinks_.empty())
+        deliverSync(event);
+    if (batchSinks_.empty())
         return;
-    }
-    // Sinks coupled synchronously to the application (the device
-    // model, annotation checkers, cross-failure verifiers) always see
-    // events inline, in dispatch order — deferring them would let
-    // program-side state run ahead of their view of the stream.
-    if (!syncSinks_.empty()) {
-        if (dbiSyncSinks_ > 0)
-            dbiSpin(dbiEventCost_);
-        for (TraceSink *sink : syncSinks_)
-            sink->handle(event);
-    }
     // Buffered instrumentation: the translated code only pays a short
     // inline buffer-append stub per event.
     if (dbiBatchSinks_ > 0)
@@ -322,12 +318,11 @@ PmRuntime::enqueueLocked(Event &event)
 }
 
 void
-PmRuntime::dispatchBatchedThreadSafe(Event &event)
+PmRuntime::dispatchThreadSafe(Event &event)
 {
-    EventBatch *batch = threadBatchFor(event.thread);
-    if (!batch) {
-        // Overflow ThreadIds (beyond the lock-free array) share batch_
-        // under the mutex — correct, just not the fast path.
+    if (batchSinks_.empty()) {
+        // Synchronous sinks only: nothing is buffered, so the whole
+        // event goes under the mutex.
         std::lock_guard<std::mutex> lock(mutex_);
         enqueueLocked(event);
         return;
@@ -335,21 +330,19 @@ PmRuntime::dispatchBatchedThreadSafe(Event &event)
     std::atomic_ref<SeqNum> seq(seq_);
     event.seq = seq.fetch_add(1, std::memory_order_relaxed) + 1;
     // Synchronously-coupled sinks still get per-event delivery under
-    // the mutex; only the batching-tolerant sinks ride the lock-free
-    // per-thread batch. None of the perf-path configurations attach a
-    // sync sink, so the fast path stays lock-free where it matters.
+    // the mutex; only the batching sinks ride the lock-free per-thread
+    // batch. None of the perf-path configurations attach a sync sink,
+    // so the fast path stays lock-free where it matters.
     if (!syncSinks_.empty()) {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (dbiSyncSinks_ > 0)
-            dbiSpin(dbiEventCost_);
-        for (TraceSink *sink : syncSinks_)
-            sink->handle(event);
+        deliverSync(event);
     }
     if (dbiBatchSinks_ > 0)
         dbiSpin(dbiAppendCost_);
-    batch->push(event);
-    if (batch->full() || isBoundary(event.kind))
-        flushThreadBatch(*batch);
+    EventBatch &batch = threadBatch();
+    batch.push(event);
+    if (batch.full() || isBoundary(event.kind))
+        flushThreadBatch(batch);
 }
 
 void
@@ -374,26 +367,35 @@ PmRuntime::dispatch(Event event)
         enqueueLocked(event);
         return;
     }
-    if (mode_ == DispatchMode::PerEvent) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        enqueueLocked(event);
-        return;
-    }
-    // Thread-safe batched: append to the calling thread's own
-    // batch without a lock; the sink mutex is taken once per flushed
-    // batch instead of once per event.
-    dispatchBatchedThreadSafe(event);
+    // Thread-safe: append to the calling thread's own batch without a
+    // lock; the sink mutex is taken once per flushed batch instead of
+    // once per event.
+    dispatchThreadSafe(event);
 }
 
-EventBatch *
-PmRuntime::threadBatchFor(ThreadId thread)
+EventBatch &
+PmRuntime::threadBatch()
 {
-    if (thread < 0 || thread >= maxTrackedThreads)
-        return nullptr;
-    auto &slot = threadBatches_[static_cast<std::size_t>(thread)];
-    if (!slot)
-        slot = std::make_unique<EventBatch>();
-    return slot.get();
+    // Batches follow OS threads, not ThreadIds: one ThreadId may be
+    // issued from several OS threads (registerPmem emits under thread
+    // 0 from whichever worker registers), and a batch must never have
+    // two writers. Each thread caches the batch of the
+    // runtime it used last, keyed by id_ rather than address so a
+    // runtime built where a dead one lived cannot inherit its batch.
+    struct Cached
+    {
+        std::uint64_t runtime = 0;
+        EventBatch *batch = nullptr;
+    };
+    thread_local Cached cached;
+    if (cached.runtime != id_) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto &slot = threadBatches_[std::this_thread::get_id()];
+        if (!slot)
+            slot = std::make_unique<EventBatch>();
+        cached = {id_, slot.get()};
+    }
+    return *cached.batch;
 }
 
 void
@@ -434,9 +436,10 @@ PmRuntime::siteEnter(const std::string &name, ThreadId thread)
 {
     std::uint32_t id;
     {
-        // Worker threads open sites concurrently; interning mutates the
-        // shared NameTable and must be serialized.
-        std::lock_guard<std::mutex> lock(siteMutex_);
+        // Worker threads open sites concurrently, and sinks read the
+        // table under mutex_ while they are delivered to (RemoteSink
+        // sends names mid-stream), so interning takes mutex_ too.
+        std::lock_guard<std::mutex> lock(mutex_);
         id = names_.intern(name);
     }
     if (thread >= 0 && thread < maxTrackedThreads) {
@@ -608,7 +611,11 @@ PmRuntime::registerPmem(const std::string &name, Addr addr,
 {
     Event e;
     e.kind = EventKind::RegisterPmem;
-    e.nameId = names_.intern(name);
+    {
+        // Serialized against other threads and sinks (see siteEnter).
+        std::lock_guard<std::mutex> lock(mutex_);
+        e.nameId = names_.intern(name);
+    }
     e.addr = addr;
     e.size = size;
     dispatch(e);
@@ -617,6 +624,10 @@ PmRuntime::registerPmem(const std::string &name, Addr addr,
 void
 PmRuntime::programEnd()
 {
+    // Worker threads' batches may still hold events that no boundary
+    // flushed; they must reach the sinks before ProgramEnd runs the
+    // finalize rules, or their stores escape the end-of-program checks.
+    drain();
     Event e;
     e.kind = EventKind::ProgramEnd;
     dispatch(e);

@@ -11,34 +11,31 @@
  * (the paper's "Nulgrind" baseline); attaching a detector measures that
  * detector's debugging overhead.
  *
- * Dispatch runs in one of two modes (setDispatchMode):
+ * Dispatch has one path. Events accumulate in a fixed-capacity
+ * EventBatch and are flushed to sinks when the batch fills, at every
+ * ordering boundary (fence / epoch / strand / join / register /
+ * program-end), and at attach()/detach()/drain(). One virtual
+ * handleBatch() per sink per batch replaces one virtual handle() per
+ * sink per event, and the DBI cost model charges its per-event clean
+ * call once per batch (buffered instrumentation: events pay only a
+ * short inline buffer-append stub). In thread-safe mode each OS thread
+ * accumulates into its own lock-free batch, whatever ThreadIds it
+ * issues, and the sink mutex is taken once per batch flush.
  *
- *  - PerEvent (default): every event is delivered to every sink
- *    immediately — the seed behavior, required by sinks whose state is
- *    queried synchronously between events (PMTest annotations,
- *    XFDetector cross-failure verifiers reading the device image).
- *    It is also the reference the dispatch-equivalence tests compare
- *    Batched against, and the unbuffered-instrumentation cost model
- *    the Fig 8 figures report.
- *  - Batched: events accumulate in a fixed-capacity EventBatch and are
- *    flushed to sinks when the batch fills, at every ordering boundary
- *    (fence / epoch / strand / join / register / program-end), and at
- *    attach()/detach()/drain(). One virtual handleBatch() per sink per
- *    batch replaces one virtual handle() per sink per event, and the
- *    DBI cost model charges its per-event clean call once per batch
- *    (buffered instrumentation: events pay only a short inline
- *    buffer-append stub). In thread-safe mode each
- *    thread accumulates into its own lock-free batch and the sink mutex
- *    is taken once per batch flush instead of once per event (each
- *    ThreadId must be driven by at most one OS thread, which is how
- *    every workload in this repository uses the API).
+ * The one exception is a sink whose state is queried between events
+ * (the device model, PMTest annotations, XFDetector cross-failure
+ * verifiers, RemoteSink): it returns requiresSynchronousDelivery() and
+ * gets handle() inline for every event, in dispatch order. With no
+ * batching sink attached, an event goes to the synchronous sinks and
+ * nothing is buffered.
  *
  * Because batches are flushed in stream order and each sink receives
  * events in exactly per-event order, detector results for any
- * single-threaded event stream are bit-identical across the two
- * modes (tests/test_dispatch.cc asserts this). Multi-threaded streams
- * keep per-thread event order but deliver cross-thread interleavings
- * at batch rather than event granularity.
+ * single-threaded event stream are bit-identical to per-event handle()
+ * delivery (tests/test_dispatch.cc asserts this). Multi-threaded
+ * streams keep per-thread event order but deliver cross-thread
+ * interleavings at batch rather than event granularity; ProgramEnd
+ * always comes last.
  */
 
 #ifndef PMDB_TRACE_RUNTIME_HH
@@ -49,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -60,12 +58,9 @@
 namespace pmdb
 {
 
-/** How PmRuntime delivers events to its sinks. */
+/** Kept with its one value only because perfbench/ still names it. */
 enum class DispatchMode
 {
-    /** Deliver each event immediately (seed semantics). */
-    PerEvent,
-    /** Accumulate into an EventBatch; flush at capacity/boundaries. */
     Batched,
 };
 
@@ -74,9 +69,9 @@ enum class DispatchMode
  *
  * Sinks are non-owning observers; the caller keeps them alive for the
  * lifetime of the runtime. By default the runtime is single-threaded;
- * setThreadSafe(true) serializes dispatch with a mutex, mirroring how
- * Valgrind serializes guest threads (used by the Fig 10 scalability
- * experiment).
+ * setThreadSafe(true) gives each thread its own batch and serializes
+ * sink delivery with a mutex, mirroring how Valgrind serializes guest
+ * threads (used by the Fig 10 scalability experiment).
  */
 class PmRuntime
 {
@@ -93,23 +88,25 @@ class PmRuntime
     /** Detach a previously attached consumer (drains first). */
     void detach(TraceSink *sink);
 
-    /** Serialize event dispatch across threads. */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
+    /**
+     * Serialize event dispatch across threads. Switching drains, so
+     * events issued before the switch reach the sinks first.
+     */
+    void
+    setThreadSafe(bool on)
+    {
+        drain();
+        threadSafe_ = on;
+    }
 
-    /** @name Dispatch pipeline configuration. */
-    /** @{ */
-
-    /** Select the dispatch mode; switching drains pending events. */
-    void setDispatchMode(DispatchMode mode);
+    /** No-op, kept only because perfbench/ still calls it. */
+    void setDispatchMode(DispatchMode) {}
 
     /**
      * Flush every pending batch. After drain() returns, every sink has
-     * observed every event issued before the call. No-op in PerEvent
-     * mode.
+     * observed every event issued before the call.
      */
     void drain();
-
-    /** @} */
 
     /**
      * Mark one application-level operation (a request, an insert).
@@ -124,12 +121,12 @@ class PmRuntime
      * Calibrate the DBI cost model (spin units; see appOp).
      *
      * @p per_event is the clean-call charge: the register save/restore
-     * and callout that unbuffered instrumentation pays on *every*
-     * event, and that buffered (Batched) dispatch pays once per
-     * drained buffer. @p per_append is the short inline buffer-append
-     * stub that buffered instrumentation pays per event instead — the
-     * few translated instructions that spill an event record into the
-     * trace buffer (cf. trace-buffer designs such as drcachesim's).
+     * and callout that a synchronous sink pays on *every* event, and
+     * that batching sinks pay once per drained buffer. @p per_append
+     * is the short inline buffer-append stub that buffered
+     * instrumentation pays per event instead — the few translated
+     * instructions that spill an event record into the trace buffer
+     * (cf. trace-buffer designs such as drcachesim's).
      */
     void
     setDbiCosts(std::uint32_t per_event, std::uint32_t per_app_op,
@@ -274,12 +271,14 @@ class PmRuntime
 
     void dispatch(Event event);
     void enqueueLocked(Event &event);
-    void dispatchBatchedThreadSafe(Event &event);
+    void dispatchThreadSafe(Event &event);
+    /** handle() @p event on every synchronous sink. */
+    void deliverSync(const Event &event);
     void flushLocked();
     /** Deliver a per-thread batch: sink mutex once for the whole batch. */
     void flushThreadBatch(EventBatch &batch);
-    /** Lock-free per-thread batch; null for overflow ThreadIds. */
-    EventBatch *threadBatchFor(ThreadId thread);
+    /** The calling OS thread's batch, created on its first event. */
+    EventBatch &threadBatch();
     void deliver(const Event *events, std::size_t count);
     /** Recompute batchSinks_/syncSinks_ after attach/detach. */
     void rebuildPartition();
@@ -290,34 +289,34 @@ class PmRuntime
     std::vector<TraceSink *> sinks_;
     /**
      * sinks_ partitioned by delivery policy: batchSinks_ receive
-     * handleBatch() in Batched mode; syncSinks_
-     * (requiresSynchronousDelivery) always receive handle() inline at
-     * dispatch, interleaved with the application.
+     * handleBatch(); syncSinks_ (requiresSynchronousDelivery) receive
+     * handle() inline at dispatch, interleaved with the application.
      */
     std::vector<TraceSink *> batchSinks_;
     std::vector<TraceSink *> syncSinks_;
-    /** Number of attached DBI-based sinks (total / per partition). */
-    int dbiSinks_ = 0;
+    /** Number of attached DBI-based sinks per partition. */
     int dbiBatchSinks_ = 0;
     int dbiSyncSinks_ = 0;
     std::uint32_t dbiEventCost_ = 25;
     std::uint32_t dbiOpCost_ = 400;
-    /** Inline buffer-append charge per event in Batched mode. */
+    /** Inline buffer-append charge per buffered event. */
     std::uint32_t dbiAppendCost_ = 4;
+    /** Interned under mutex_, which sinks are delivered under. */
     NameTable names_;
     SeqNum seq_ = 0;
 
-    DispatchMode mode_ = DispatchMode::PerEvent;
     EventBatch batch_;
     /**
-     * Per-thread accumulation batches for thread-safe Batched
-     * dispatch, created lazily by the owning thread. Only the thread
-     * driving that ThreadId touches its slot while events flow; drain()
-     * walks all slots and assumes producers are quiescent (workloads
-     * join their threads before programEnd()).
+     * Per-OS-thread accumulation batches for thread-safe dispatch,
+     * added under mutex_ on a thread's first event. Only the owning
+     * thread touches its batch while events flow; drain() walks them
+     * all and assumes producers are quiescent (workloads join their
+     * threads before programEnd()).
      */
-    std::array<std::unique_ptr<EventBatch>, maxTrackedThreads>
+    std::unordered_map<std::thread::id, std::unique_ptr<EventBatch>>
         threadBatches_;
+    /** Never reused, so a thread's cached batch cannot outlive us. */
+    const std::uint64_t id_;
 
     /**
      * Strand id of the currently open strand per thread; noStrand if
@@ -331,11 +330,9 @@ class PmRuntime
 
     /**
      * Per-thread open-site stacks (innermost last), created lazily by
-     * the owning thread. Like threadBatches_, only the OS thread
-     * driving a ThreadId touches its slot, so reads on the event path
-     * are lock-free; overflow ThreadIds share a mutex-guarded map.
-     * NameTable interning is serialized by siteMutex_ because worker
-     * threads open sites concurrently.
+     * the owning thread. Only the OS thread driving a ThreadId touches
+     * its slot, so reads on the event path are lock-free; overflow
+     * ThreadIds share a map guarded by siteMutex_.
      */
     std::array<std::unique_ptr<std::vector<std::uint32_t>>,
                maxTrackedThreads>

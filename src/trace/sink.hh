@@ -55,10 +55,10 @@ class TraceSink
     virtual void handle(const Event &event) = 0;
 
     /**
-     * Deliver a batch of events in stream order. The runtime uses this
-     * for batched dispatch; the default implementation preserves
-     * per-event semantics, so sinks only override it when they can
-     * process a run of events cheaper than event-by-event.
+     * Deliver a batch of events in stream order. The runtime feeds
+     * every non-synchronous sink this way; the default implementation
+     * preserves per-event semantics, so sinks only override it when
+     * they can process a run of events cheaper than event-by-event.
      */
     virtual void
     handleBatch(const Event *events, std::size_t count)
@@ -85,9 +85,8 @@ class TraceSink
      * writes its image directly, so dirty/pending tracking must advance
      * in lockstep), PMTest (annotation checkers run mid-stream) and
      * XFDetector (cross-failure verifiers read the device crash image
-     * during handling). The runtime delivers to such sinks per event
-     * even in Batched mode; only batching-tolerant sinks are fed
-     * through handleBatch().
+     * during handling). The runtime delivers to such sinks per event,
+     * inline; every other sink is fed through handleBatch().
      */
     virtual bool requiresSynchronousDelivery() const { return false; }
 };

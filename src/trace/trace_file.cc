@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <system_error>
 
@@ -125,23 +124,11 @@ pack(const Event &event)
     return packed;
 }
 
-/**
- * Decode one record into @p event. False for a record no writer can
- * produce: an unknown kind or CLF, or a range past the address space.
- */
-bool
-unpack(const PackedEvent &packed, Event *out)
+/** Decode one record; malformedEvent() judges the result. */
+Event
+unpack(const PackedEvent &packed)
 {
-    constexpr auto lastKind =
-        static_cast<std::uint8_t>(EventKind::ProgramEnd);
-    constexpr auto lastFlushKind =
-        static_cast<std::uint8_t>(FlushKind::Clflushopt);
-    if (packed.kind > lastKind || packed.flushKind > lastFlushKind ||
-        packed.addr >
-            std::numeric_limits<std::uint64_t>::max() - packed.size) {
-        return false;
-    }
-    Event &event = *out;
+    Event event;
     event.kind = static_cast<EventKind>(packed.kind);
     event.flushKind = static_cast<FlushKind>(packed.flushKind);
     event.thread = packed.thread;
@@ -151,7 +138,7 @@ unpack(const PackedEvent &packed, Event *out)
     event.size = packed.size;
     event.seq = packed.seq;
     event.global = packed.global;
-    return true;
+    return event;
 }
 
 } // namespace
@@ -287,17 +274,12 @@ readTrace(const std::string &path, LoadedTrace *out, bool *truncated,
             PackedEvent packed{};
             if (!in.read(&packed, sizeof(packed)))
                 return tail();
-            Event event;
-            if (!unpack(packed, &event))
-                return fail(error, "corrupt trace: bad event record");
-            if (event.nameId != noName &&
-                event.nameId >= out->names.size()) {
-                return fail(error,
-                            "corrupt trace: event seq " +
-                                std::to_string(event.seq) +
-                                " names id " +
-                                std::to_string(event.nameId) + " of " +
-                                std::to_string(out->names.size()));
+            const Event event = unpack(packed);
+            if (const char *why =
+                    malformedEvent(event, out->names.size())) {
+                return fail(error, "corrupt trace: event seq " +
+                                       std::to_string(event.seq) + ": " +
+                                       why);
             }
             out->events.push_back(event);
         } else if (tag == nameTag) {

@@ -15,12 +15,9 @@ namespace
 /** One variant run: scenario under a capture session, then explore. */
 CrashsimResult
 runCaseVariant(const BugCase &bug_case, bool buggy,
-               const CrashsimOptions &options, DispatchMode mode,
-               bool *single_image_found)
+               const CrashsimOptions &options, bool *single_image_found)
 {
     PmRuntime runtime;
-    runtime.setDispatchMode(mode);
-
     PmDebugger debugger(debuggerConfigFor(bug_case));
     runtime.attach(&debugger);
 
@@ -45,15 +42,13 @@ runCaseVariant(const BugCase &bug_case, bool buggy,
 } // namespace
 
 CrashsimCaseOutcome
-runCrashsimCase(const BugCase &bug_case, const CrashsimOptions &options,
-                DispatchMode mode)
+runCrashsimCase(const BugCase &bug_case, const CrashsimOptions &options)
 {
     CrashsimCaseOutcome outcome;
-    outcome.buggy = runCaseVariant(bug_case, true, options, mode,
+    outcome.buggy = runCaseVariant(bug_case, true, options,
                                    &outcome.singleImageFound);
     outcome.engineFound = !outcome.buggy.findings.empty();
-    outcome.clean =
-        runCaseVariant(bug_case, false, options, mode, nullptr);
+    outcome.clean = runCaseVariant(bug_case, false, options, nullptr);
     return outcome;
 }
 
@@ -232,7 +227,7 @@ crashsimOnlyCases()
 
 CrashsimResult
 runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,
-                    const CrashsimOptions &options, DispatchMode mode,
+                    const CrashsimOptions &options, DispatchMode,
                     PmDebugger *debugger)
 {
     auto workload = makeWorkload(name);
@@ -240,7 +235,6 @@ runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,
         fatal("crashsim: unknown workload " + name);
 
     PmRuntime runtime;
-    runtime.setDispatchMode(mode);
     CrashsimSession session(options);
     wl_options.crashsim = &session;
     workload->run(runtime, wl_options);

@@ -50,12 +50,10 @@ struct CrashsimCaseOutcome
 
 /**
  * Run @p bug_case twice (buggy, correct) with a CrashsimSession using
- * @p options adopted when the scenario arms its verifier, under
- * dispatch mode @p mode.
+ * @p options adopted when the scenario arms its verifier.
  */
 CrashsimCaseOutcome
-runCrashsimCase(const BugCase &bug_case, const CrashsimOptions &options,
-                DispatchMode mode = DispatchMode::PerEvent);
+runCrashsimCase(const BugCase &bug_case, const CrashsimOptions &options);
 
 /**
  * Seeded crash-consistency bugs only reachable through crash-state
@@ -80,12 +78,13 @@ const std::vector<BugCase> &crashsimOnlyCases();
 /**
  * Run workload @p name with a crashsim session adopted (the workload
  * must support WorkloadOptions::crashsim) and explore the capture.
- * Findings are reported through @p debugger when given.
+ * Findings are reported through @p debugger when given. The
+ * DispatchMode is ignored; it stays only because perfbench/ passes it.
  */
 CrashsimResult
 runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,
                     const CrashsimOptions &options,
-                    DispatchMode mode = DispatchMode::PerEvent,
+                    DispatchMode = DispatchMode::Batched,
                     PmDebugger *debugger = nullptr);
 
 } // namespace pmdb

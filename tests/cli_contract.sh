@@ -42,6 +42,11 @@ expect 2 pmdb_run pmdebugger 10 b_tree --seed -1
 expect 2 pmdb_run pmdebugger 10 b_tree --ring-slots 0
 expect 2 pmdb_advise case:hashmap_atomic_entry_not_flushed --seeds 1,x
 
+# Removed options and commands are usage errors, not silent no-ops.
+expect 2 pmdb_run pmdebugger 10 b_tree --connect "$scratch/d.sock" \
+    --policy drop
+expect 2 pmdb_tracetool crashsim "$scratch/none.trc"
+
 # Missing value, stray positional.
 expect 2 pmdb_crashsim run b_tree --ops
 expect 2 pmdb_run pmdebugger 10 b_tree extra

@@ -320,21 +320,6 @@ TEST(CrashsimDeterminismTest, SeededRandomEnumerationIsDeterministic)
     EXPECT_LE(a.stats.imagesEnumerated, 65u);
 }
 
-TEST(CrashsimDispatchTest, ResultsIdenticalAcrossDispatchModes)
-{
-    const BugCase &bug_case = suiteCase("xf_counter_pair");
-    const CrashsimOptions options = kAllOptions();
-    const CrashsimCaseOutcome per_event =
-        runCrashsimCase(bug_case, options, DispatchMode::PerEvent);
-    const CrashsimCaseOutcome batched =
-        runCrashsimCase(bug_case, options, DispatchMode::Batched);
-
-    EXPECT_TRUE(per_event.buggy.identicalTo(batched.buggy));
-    EXPECT_TRUE(per_event.clean.identicalTo(batched.clean));
-    EXPECT_EQ(per_event.singleImageFound, batched.singleImageFound);
-    EXPECT_TRUE(per_event.engineFound);
-}
-
 TEST(CrashsimReportTest, FindingsReportedWithCrashPointSeq)
 {
     PmRuntime runtime;

@@ -66,6 +66,7 @@ TEST(PmemcheckTest, MultStoresIsOptIn)
         runtime.attach(&detector);
         runtime.store(0x100, 8);
         runtime.store(0x100, 8);
+        runtime.drain();
         EXPECT_EQ(detector.bugs().countOf(BugType::MultipleOverwrite), 0u);
     }
     {
@@ -76,6 +77,7 @@ TEST(PmemcheckTest, MultStoresIsOptIn)
         runtime.attach(&detector);
         runtime.store(0x100, 8);
         runtime.store(0x100, 8);
+        runtime.drain();
         EXPECT_EQ(detector.bugs().countOf(BugType::MultipleOverwrite), 1u);
     }
 }

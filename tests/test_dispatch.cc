@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the batched event-dispatch pipeline: dispatch-mode
- * equivalence (per-event vs batched must produce bit-identical
+ * Tests for the batched event-dispatch pipeline: equivalence with
+ * per-event handle() delivery (batched must produce bit-identical
  * detector results), batch flush points, the multi-producer drain
- * barrier, per-thread strand tracking and the O(1) NameTable.
+ * barrier, ProgramEnd ordering, per-thread strand tracking and the
+ * O(1) NameTable.
  */
 
 #include <algorithm>
@@ -78,9 +79,33 @@ signatureOf(const Detector &detector)
     return sig;
 }
 
-/** Run one bug-suite case under PMDebugger in the given mode. */
+/**
+ * The reference delivery: a synchronous sink gets handle() once per
+ * event, inline, so forwarding it to a detector replays the stream
+ * event by event — what batched delivery must match.
+ */
+class SyncForwarder : public TraceSink
+{
+  public:
+    explicit SyncForwarder(TraceSink &inner) : inner_(inner) {}
+
+    void attached(const NameTable &names) override
+    {
+        inner_.attached(names);
+    }
+    void handle(const Event &event) override { inner_.handle(event); }
+    bool requiresSynchronousDelivery() const override { return true; }
+
+  private:
+    TraceSink &inner_;
+};
+
+/**
+ * Run one bug-suite case under PMDebugger, fed per event through a
+ * SyncForwarder when @p per_event, else in batches.
+ */
 RunSignature
-runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
+runCase(const BugCase &bug_case, bool per_event, bool buggy)
 {
     PmRuntime runtime;
     CaseEnv env{runtime};
@@ -92,29 +117,29 @@ runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
         config.orderSpec = OrderSpec::fromText(bug_case.orderSpec);
     PmDebuggerDetector tool(std::move(config));
     env.pmdebugger = &tool.debugger();
+    SyncForwarder forwarder(tool);
+    TraceSink *sink = per_event ? static_cast<TraceSink *>(&forwarder)
+                                : &tool;
 
-    runtime.attach(&tool);
-    runtime.setDispatchMode(mode);
+    runtime.attach(sink);
     bug_case.scenario(env);
     runtime.programEnd();
     tool.finalize();
-    runtime.detach(&tool);
+    runtime.detach(sink);
     return signatureOf(tool);
 }
 
 /**
  * Every case of the 78-case suite (buggy and correct variant) must
- * report exactly the same bugs and bookkeeping counters in both
- * dispatch modes.
+ * report exactly the same bugs and bookkeeping counters whether the
+ * detector is fed per event or in batches.
  */
 TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
 {
     for (const BugCase &bug_case : bugSuite()) {
         for (const bool buggy : {true, false}) {
-            const RunSignature per =
-                runCaseInMode(bug_case, DispatchMode::PerEvent, buggy);
-            const RunSignature bat =
-                runCaseInMode(bug_case, DispatchMode::Batched, buggy);
+            const RunSignature per = runCase(bug_case, true, buggy);
+            const RunSignature bat = runCase(bug_case, false, buggy);
             EXPECT_TRUE(per == bat)
                 << "case " << bug_case.id << " (" << bug_case.name
                 << "), buggy=" << buggy << ": batched != per-event";
@@ -123,8 +148,8 @@ TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
 }
 
 RunSignature
-runWorkloadInMode(const std::string &name, DispatchMode mode,
-                  bool threadSafe = false)
+runWorkload(const std::string &name, bool per_event,
+            bool threadSafe = false)
 {
     auto workload = makeWorkload(name);
     PmRuntime runtime;
@@ -135,8 +160,10 @@ runWorkloadInMode(const std::string &name, DispatchMode mode,
             config.orderSpec = OrderSpec::fromText(workload->orderSpecText());
         return config;
     }()};
-    runtime.attach(&tool);
-    runtime.setDispatchMode(mode);
+    SyncForwarder forwarder(tool);
+    TraceSink *sink = per_event ? static_cast<TraceSink *>(&forwarder)
+                                : &tool;
+    runtime.attach(sink);
     runtime.setThreadSafe(threadSafe);
 
     WorkloadOptions options;
@@ -145,25 +172,22 @@ runWorkloadInMode(const std::string &name, DispatchMode mode,
     workload->run(runtime, options);
     runtime.drain();
     tool.finalize();
-    runtime.detach(&tool);
+    runtime.detach(sink);
     return signatureOf(tool);
 }
 
 /**
  * A real data-structure workload (fence intervals, CLF patterns,
- * array/tree migration) reports identical stats in both modes —
- * including every ArrayStats counter, which proves the batched store
- * fast path performs exactly the per-event bookkeeping — and under
- * thread-safe (mutex-serialized) Batched dispatch.
+ * array/tree migration) reports identical stats fed per event and in
+ * batches — including every ArrayStats counter, which proves the
+ * batched store fast path performs exactly the per-event bookkeeping —
+ * and under thread-safe (per-thread batch) dispatch.
  */
 TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
 {
-    const RunSignature per =
-        runWorkloadInMode("b_tree", DispatchMode::PerEvent);
-    const RunSignature bat =
-        runWorkloadInMode("b_tree", DispatchMode::Batched);
-    const RunSignature safe =
-        runWorkloadInMode("b_tree", DispatchMode::Batched, true);
+    const RunSignature per = runWorkload("b_tree", true);
+    const RunSignature bat = runWorkload("b_tree", false);
+    const RunSignature safe = runWorkload("b_tree", false, true);
 
     EXPECT_GT(per.stores, 0u);
     EXPECT_EQ(per.array.recordsCollectivelyFreed,
@@ -179,7 +203,6 @@ TEST(DispatchPipeline, BatchedFlushesAtBoundary)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     runtime.store(0x100, 8);
     runtime.store(0x108, 8);
@@ -202,7 +225,6 @@ TEST(DispatchPipeline, BatchedFlushesAtCapacity)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     for (std::size_t i = 0; i + 1 < defaultBatchCapacity; ++i)
         runtime.store(0x100 + 8 * i, 8);
@@ -217,7 +239,6 @@ TEST(DispatchPipeline, DetachAndDrainFlushPendingEvents)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     runtime.store(0x100, 8);
     EXPECT_EQ(recorder.events().size(), 0u);
@@ -236,7 +257,6 @@ TEST(DispatchPipeline, ThreadSafeBatchedKeepsPerThreadOrder)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 500;
@@ -278,7 +298,6 @@ TEST(DispatchPipeline, OverflowThreadIdsUseTheSharedPath)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     // ThreadIds beyond the lock-free per-thread array still dispatch
     // correctly (shared batch under the mutex).
@@ -303,7 +322,6 @@ TEST(DispatchPipeline, BatchedDrainUnderMultipleProducerThreads)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 1500; // not a batch multiple
@@ -353,6 +371,37 @@ TEST(DispatchPipeline, BatchedDrainUnderMultipleProducerThreads)
     }
 }
 
+/**
+ * Worker threads can end on a partial batch that no boundary flushed
+ * (mc_bug_4 leaves stores after each thread's last fence). ProgramEnd
+ * runs the detector's finalize rules, so it must reach the sinks after
+ * every one of those events, not before them.
+ */
+TEST(DispatchPipeline, ThreadedProgramEndIsDeliveredLast)
+{
+    auto workload = makeWorkload("memcached");
+    PmRuntime runtime;
+    TraceRecorder recorder;
+    runtime.attach(&recorder);
+
+    WorkloadOptions options;
+    options.operations = 4000;
+    options.threads = 4;
+    options.setRatio = 0.5;
+    options.faults.enable("mc_bug_4");
+    workload->run(runtime, options);
+
+    const auto &events = recorder.events();
+    ASSERT_EQ(events.size(), runtime.eventCount());
+    EXPECT_EQ(events.back().kind, EventKind::ProgramEnd);
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const Event &event) {
+                                return event.kind ==
+                                       EventKind::ProgramEnd;
+                            }),
+              1);
+}
+
 TEST(StrandTracking, PerThreadStrandsDoNotInterfere)
 {
     PmRuntime runtime;
@@ -366,6 +415,7 @@ TEST(StrandTracking, PerThreadStrandsDoNotInterfere)
     runtime.store(0x208, 8, /*thread=*/2);
     runtime.strandEnd(7, /*thread=*/1);
     runtime.store(0x108, 8, /*thread=*/1); // strand closed again
+    runtime.drain();
 
     const auto &events = recorder.events();
     ASSERT_EQ(events.size(), 7u);
@@ -387,6 +437,7 @@ TEST(StrandTracking, OverflowThreadIdsTrackStrandsToo)
 
     runtime.strandBegin(3, /*thread=*/5000);
     runtime.store(0x100, 8, /*thread=*/5000);
+    runtime.drain();
     ASSERT_EQ(recorder.events().size(), 2u);
     EXPECT_EQ(recorder.events()[1].strand, 3);
     EXPECT_EQ(runtime.strandOf(5000), 3);

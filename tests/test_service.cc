@@ -3,18 +3,22 @@
  * Tests for the out-of-process detection service: the shared-memory
  * event ring, the wire protocol, and — the core guarantee — report
  * identity: every bug-suite case detected through a pmdbd daemon
- * (any shard count, any non-lossy backpressure policy) must produce
- * exactly the bug report an in-process PmDebugger produces.
+ * (any shard count, either backpressure policy) must produce exactly
+ * the bug report an in-process PmDebugger produces — and a client
+ * that sends what no runtime produces ends only its own session.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "core/debugger.hh"
@@ -164,9 +168,6 @@ TEST(EventRingTest, FullRingRejectsUntilDrained)
     EXPECT_EQ(ring.tryPop(out, 2), 2u);
     EXPECT_TRUE(ring.tryPush(event));
     EXPECT_EQ(ring.size(), 3u);
-    ring.countDrop();
-    ring.countDrop();
-    EXPECT_EQ(ring.droppedCount(), 2u);
 }
 
 TEST(EventRingTest, BatchPushPopInWholeFramesAcrossWraparound)
@@ -286,7 +287,8 @@ TEST(ProtocolTest, PolicyNames)
     EXPECT_TRUE(parseSlowConsumerPolicy("spill", &policy));
     EXPECT_EQ(policy, SlowConsumerPolicy::Spill);
     EXPECT_FALSE(parseSlowConsumerPolicy("lossy", &policy));
-    EXPECT_STREQ(toString(SlowConsumerPolicy::Drop), "drop");
+    EXPECT_FALSE(parseSlowConsumerPolicy("drop", &policy));
+    EXPECT_STREQ(toString(SlowConsumerPolicy::Spill), "spill");
 }
 
 /** Identity over the full 78-case suite at a given shard count. */
@@ -408,38 +410,6 @@ TEST(ServiceIdentityTest, SpillPolicyWithTinyRingStaysExact)
     daemon.stop();
 }
 
-TEST(ServiceTest, DropPolicyCountsWhatItLoses)
-{
-    ServiceConfig config;
-    config.socketPath = scratchPath("sock");
-    ServiceDaemon daemon(config);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-
-    // Flood a 16-slot ring faster than the consumer's idle backoff
-    // can drain it; the Drop policy must account for every loss.
-    PmRuntime runtime;
-    RemoteSink sink;
-    RemoteSink::Options options;
-    options.socketPath = config.socketPath;
-    options.ringPath = scratchPath("ring");
-    options.ringSlots = 16;
-    options.policy = SlowConsumerPolicy::Drop;
-    ASSERT_TRUE(sink.connect(options, &error)) << error;
-    runtime.attach(&sink);
-    constexpr int stores = 20000;
-    for (int i = 0; i < stores; ++i)
-        runtime.store(0x1000 + 8u * (i % 64), 8);
-    runtime.programEnd();
-    ReportBody report;
-    ASSERT_TRUE(sink.finish(&report, &error)) << error;
-
-    EXPECT_EQ(report.eventsProcessed + report.eventsDropped,
-              static_cast<std::uint64_t>(stores) + 1); // + ProgramEnd
-    EXPECT_EQ(report.eventsDropped, sink.droppedEvents());
-    daemon.stop();
-}
-
 TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
 {
     ServiceConfig config;
@@ -481,7 +451,15 @@ TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
     daemon.stop();
 }
 
-TEST(ServiceTest, BadSpilledNameIdAbortsOnlyItsSession)
+/**
+ * Run @p bad_client (given the daemon's socket; it returns whether its
+ * session got a report) next to a clean client: the bad session must
+ * end aborted with no report, while the clean client's report — and a
+ * later client's — equals a solo run's byte for byte.
+ */
+void
+expectOnlyBadSessionAborts(
+    const std::function<bool(const std::string &)> &bad_client)
 {
     ServiceConfig config;
     config.socketPath = scratchPath("sock");
@@ -495,37 +473,8 @@ TEST(ServiceTest, BadSpilledNameIdAbortsOnlyItsSession)
     runRemote(clean, config.socketPath, SlowConsumerPolicy::Block, 1024,
               &solo);
 
-    // The bad client floods a 16-slot ring until the Spill policy
-    // diverts the stream (spilling is sticky once it starts), then
-    // spills a RegisterPmem naming an id it never interned: the sink
-    // is attached to no runtime, so it sends no names at all.
     bool badFinished = true;
-    std::thread bad([&] {
-        RemoteSink sink;
-        RemoteSink::Options options;
-        options.socketPath = config.socketPath;
-        options.ringPath = scratchPath("ring");
-        options.ringSlots = 16;
-        options.policy = SlowConsumerPolicy::Spill;
-        options.spillPath = scratchPath("spill");
-        std::string err;
-        ASSERT_TRUE(sink.connect(options, &err)) << err;
-        Event event;
-        event.kind = EventKind::Store;
-        event.size = 8;
-        for (SeqNum seq = 1; sink.spillEvents() == 0 && seq < 1000000;
-             ++seq) {
-            event.seq = seq;
-            event.addr = 0x1000 + 8 * (seq % 64);
-            sink.handle(event);
-        }
-        EXPECT_GT(sink.spillEvents(), 0u);
-        event.kind = EventKind::RegisterPmem;
-        event.nameId = 424242;
-        sink.handle(event);
-        ReportBody report;
-        badFinished = sink.finish(&report, &err);
-    });
+    std::thread bad([&] { badFinished = bad_client(config.socketPath); });
     ReportBody concurrent;
     std::thread good([&] {
         runRemote(clean, config.socketPath, SlowConsumerPolicy::Block,
@@ -549,6 +498,98 @@ TEST(ServiceTest, BadSpilledNameIdAbortsOnlyItsSession)
         aborted += session.aborted ? 1 : 0;
     EXPECT_EQ(aborted, 1u);
     daemon.stop();
+}
+
+/** A RegisterPmem naming id 424242, never interned by its client. */
+Event
+uninternedRegistration()
+{
+    Event event;
+    event.kind = EventKind::RegisterPmem;
+    event.nameId = 424242;
+    event.size = 8;
+    return event;
+}
+
+TEST(ServiceTest, BadSpilledNameIdAbortsOnlyItsSession)
+{
+    // The bad client floods a 16-slot ring until the Spill policy
+    // diverts the stream (spilling is sticky once it starts), then
+    // spills a RegisterPmem naming an id it never interned: the sink
+    // is attached to no runtime, so it sends no names at all.
+    expectOnlyBadSessionAborts([](const std::string &socket) {
+        RemoteSink sink;
+        RemoteSink::Options options;
+        options.socketPath = socket;
+        options.ringPath = scratchPath("ring");
+        options.ringSlots = 16;
+        options.policy = SlowConsumerPolicy::Spill;
+        options.spillPath = scratchPath("spill");
+        std::string err;
+        EXPECT_TRUE(sink.connect(options, &err)) << err;
+        Event event;
+        event.kind = EventKind::Store;
+        event.size = 8;
+        for (SeqNum seq = 1; sink.spillEvents() == 0 && seq < 1000000;
+             ++seq) {
+            event.seq = seq;
+            event.addr = 0x1000 + 8 * (seq % 64);
+            sink.handle(event);
+        }
+        EXPECT_GT(sink.spillEvents(), 0u);
+        sink.handle(uninternedRegistration());
+        ReportBody report;
+        return sink.finish(&report, &err);
+    });
+}
+
+TEST(ServiceTest, BadRingNameIdAbortsOnlyItsSession)
+{
+    // The same unnamed RegisterPmem, published through the ring under
+    // the Block policy: the poller must reject the drained batch
+    // before any shard looks the id up.
+    expectOnlyBadSessionAborts([](const std::string &socket) {
+        RemoteSink sink;
+        RemoteSink::Options options;
+        options.socketPath = socket;
+        options.ringPath = scratchPath("ring");
+        std::string err;
+        EXPECT_TRUE(sink.connect(options, &err)) << err;
+        sink.handle(uninternedRegistration());
+        ReportBody report;
+        return sink.finish(&report, &err);
+    });
+}
+
+TEST(ServiceTest, ForgedRingHeadAbortsOnlyItsSession)
+{
+    // The client owns the ring mapping: moving head 1000 events past
+    // tail on a 16-slot ring claims more than the slots hold, which
+    // popBatch must refuse rather than copy past the slot array.
+    expectOnlyBadSessionAborts([](const std::string &socket) {
+        RemoteSink sink;
+        RemoteSink::Options options;
+        options.socketPath = socket;
+        options.ringPath = scratchPath("ring");
+        options.ringSlots = 16;
+        std::string err;
+        EXPECT_TRUE(sink.connect(options, &err)) << err;
+        const int fd = ::open(options.ringPath.c_str(), O_RDWR);
+        void *map = fd < 0 ? MAP_FAILED
+                           : ::mmap(nullptr, sizeof(RingHeader),
+                                    PROT_READ | PROT_WRITE, MAP_SHARED,
+                                    fd, 0);
+        if (fd >= 0)
+            ::close(fd);
+        if (map == MAP_FAILED) {
+            ADD_FAILURE() << "cannot map " << options.ringPath;
+            return true;
+        }
+        static_cast<RingHeader *>(map)->head.fetch_add(1000);
+        ::munmap(map, sizeof(RingHeader));
+        ReportBody report;
+        return sink.finish(&report, &err);
+    });
 }
 
 TEST(ServiceTest, MultiStripeStreamShardsByAddressRange)

@@ -239,6 +239,7 @@ TEST(TraceFileTest, RecordedTraceRecoversTruncatedTail)
     runtime.registerPmem("var.a", 0x200, 40);
     for (int i = 0; i < 5; ++i)
         runtime.store(0x200 + 8u * static_cast<unsigned>(i), 8);
+    runtime.drain();
     TempPath path("recorded_truncated.trc");
     std::string error;
     ASSERT_TRUE(writeTraceFile(path.str(), recorder.events(),

@@ -94,6 +94,7 @@ TEST_F(TxTest, AddRangeEmitsTxLogWithObjectAddress)
     Transaction tx(pool);
     tx.begin();
     EXPECT_TRUE(tx.addRange(a, 16));
+    runtime.drain();
     bool saw = false;
     for (const Event &event : recorder.events()) {
         if (event.kind == EventKind::TxLog) {

@@ -94,7 +94,7 @@ main(int argc, char **argv)
         .option("--trace-out FILE", "record the event trace", &trace_out)
         .option("--connect SOCKET", "detect in the pmdbd at SOCKET",
                 &connect_socket)
-        .option("--policy block|drop|spill", "slow-consumer policy",
+        .option("--policy block|spill", "slow-consumer policy",
                 [&](const std::string &name) {
                     return parseSlowConsumerPolicy(name, &policy)
                                ? cli::exitOk
@@ -182,11 +182,9 @@ main(int argc, char **argv)
         } else {
             std::printf("%s via pmdbd: %zu ops in %.4fs\n",
                         workload_name.c_str(), ops, seconds);
-            std::printf("events: %llu processed, %llu dropped\n",
+            std::printf("events: %llu processed\n",
                         static_cast<unsigned long long>(
-                            report.eventsProcessed),
-                        static_cast<unsigned long long>(
-                            report.eventsDropped));
+                            report.eventsProcessed));
             BugCollector bugs;
             for (const BugReport &bug : report.bugs)
                 bugs.report(bug);

@@ -10,7 +10,6 @@
  *   pmdb_tracetool info <file.trc> [--sites]
  *   pmdb_tracetool charz <file.trc>      # Section 3 characterization
  *   pmdb_tracetool replay <file.trc> <checker> [options]
- *   pmdb_tracetool crashsim <file.trc> [options]
  *   pmdb_tracetool minimize (case:<name> | <in.trc>) <out.trc> [options]
  *   pmdb_tracetool repair (case:<name> | <in.trc>) <out.trc> [options]
  *   pmdb_tracetool gen-fingerprints [<out.inc>]
@@ -61,7 +60,6 @@ usage(const char *argv0)
                 "record case:<name> <out.trc> [options]",
                 "info <file.trc> [--sites]", "charz <file.trc>",
                 "replay <file.trc> <checker> [options]",
-                "crashsim <file.trc> [options]",
                 "minimize (case:<name> | <in.trc>) <out.trc> [options]",
                 "repair (case:<name> | <in.trc>) <out.trc> [options]",
                 "gen-fingerprints [<out.inc>]"})
@@ -356,35 +354,6 @@ cmdReplay(int argc, char **argv)
 }
 
 int
-cmdCrashsim(int argc, char **argv)
-{
-    using namespace pmdb;
-    CrashsimOptions options;
-    cli::FlagSet flags(argv[0], {"crashsim <file.trc> [options]"});
-    flags.flag("--flush-points", "also crash at every CLF",
-               &options.captureAtFlush)
-        .option("--max-pending K", "pending-line cap per point",
-                &options.maxPendingLines)
-        .option("--max-images N", "image cap per point",
-                &options.maxImagesPerPoint)
-        .flag("--no-epoch-atomic", "sweep inside transactions too",
-              &options.epochAtomic, false);
-    if (const int rc = flags.parse(argc, argv, 3))
-        return rc;
-    LoadedTrace trace;
-    if (!loadTrace(argv[2], &trace))
-        return exitBadTrace;
-
-    const CrashScanSummary summary =
-        scanCrashPoints(trace.events, options);
-    std::printf("%s: %s\n", argv[2], summary.toString().c_str());
-    std::printf("(structural scan: traces carry no store payloads; "
-                "full exploration with recovery\n verifiers needs a "
-                "live capture — see pmdb_crashsim)\n");
-    return 0;
-}
-
-int
 cmdMinimize(int argc, char **argv)
 {
     using namespace pmdb;
@@ -582,8 +551,6 @@ main(int argc, char **argv)
         return cmdCharz(argc, argv);
     if (command == "replay")
         return cmdReplay(argc, argv);
-    if (command == "crashsim")
-        return cmdCrashsim(argc, argv);
     if (command == "minimize")
         return cmdMinimize(argc, argv);
     if (command == "repair")
